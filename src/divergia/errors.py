@@ -15,3 +15,10 @@ class DomainMismatchError(ParameterError):
 
 class ConstructionError(DivergiaError):
     """A construction invariant failed while building an object."""
+
+
+def require_same_domain(a, b):
+    """Raise DomainMismatchError unless ``a.domain == b.domain``."""
+    if a.domain != b.domain:
+        raise DomainMismatchError(
+            f"domains differ: {a.domain} vs {b.domain}")

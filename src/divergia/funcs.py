@@ -18,6 +18,10 @@ inside each outer component [A, B],
 The mid-segment dip keeps partial sums of bumps strictly below N off the
 N-th set of the nest (at any point interior to a complement segment),
 which the plain "hold 1 across gaps" rule would violate.
+
+``_component_knots`` is the one implementation of this rule: it gives the
+knots on one outer component, which ``bump_from_sets`` concatenates and
+the pointwise ``tietze_family`` value interpolates.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from __future__ import annotations
 import bisect
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Callable, Optional
 
-from .errors import ConstructionError, DomainMismatchError, ParameterError
+from .errors import ConstructionError, ParameterError, require_same_domain
 from .intervals import IntervalUnion
 from .scalars import TOL, format_scalar, is_exact, parse_scalar
 
@@ -98,13 +103,8 @@ class PiecewiseLinear:
 
     # -- arithmetic -----------------------------------------------------
 
-    def _require_same_domain(self, other: "PiecewiseLinear"):
-        if self.domain != other.domain:
-            raise DomainMismatchError(
-                f"domains differ: {self.domain} vs {other.domain}")
-
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        self._require_same_domain(other)
+        require_same_domain(self, other)
         xs = sorted(set(self.xs) | set(other.xs))
         ys = [self.eval(x) + other.eval(x) for x in xs]
         return PiecewiseLinear(xs, ys)
@@ -147,44 +147,48 @@ class PiecewiseLinear:
 # bump construction
 # ----------------------------------------------------------------------
 
-def _half(a, b):
-    return a + (b - a) / 2
+def _component_knots(A, B, inners, lo, hi):
+    """Knots of the canonical bump on one outer component [A, B] of a
+    domain [lo, hi], given its nonempty sorted inner sub-components.
 
+    Yields the knots in strictly increasing order, lazily, so that a
+    pointwise caller computes only those left of its point; a repeated
+    abscissa with a different value raises ConstructionError.
+    """
+    def dip(a, b, ref):
+        # midpoint of [a, b] at 1/2, in the backend of the inner endpoint ref
+        return a + (b - a) / 2, Fraction(1, 2) if is_exact(ref) else 0.5
 
-def bump_value_in_component(A, B, inners, domain, x):
-    """Value of the canonical bump at x, for one outer component [A, B]
-    with the given inner sub-components.  Assumes A <= x <= B."""
-    lo, hi = domain
-    if not inners:
-        return 0
-    starts = [p for p, _ in inners]
-    i = bisect.bisect_right(starts, x)
-    if i > 0 and inners[i - 1][0] <= x <= inners[i - 1][1]:
-        return 1
-    if i == 0:
-        # left edge segment [A, p1]
-        p1 = inners[0][0]
-        if A <= lo:
-            mid = _half(A, p1)
-            if x <= mid:
-                return 1 - (x - A) / (mid - A) / 2
-            return 1 - (p1 - x) / (p1 - mid) / 2
-        return (x - A) / (p1 - A)
-    if i == len(inners):
-        # right edge segment [q_k, B]
-        qk = inners[-1][1]
-        if B >= hi:
-            mid = _half(qk, B)
-            if x <= mid:
-                return 1 - (x - qk) / (mid - qk) / 2
-            return 1 - (B - x) / (B - mid) / 2
-        return (B - x) / (B - qk)
-    # gap between inners i-1 and i: shallow tent dipping to 1/2
-    q, p = inners[i - 1][1], inners[i][0]
-    mid = _half(q, p)
-    if x <= mid:
-        return 1 - (x - q) / (mid - q) / 2
-    return 1 - (p - x) / (p - mid) / 2
+    def raw():
+        p1, qk = inners[0][0], inners[-1][1]
+        if A > lo:
+            yield A, 0
+        else:
+            yield lo, 1
+            if p1 > A:
+                yield dip(A, p1, p1)
+        yield p1, 1
+        for (_, q), (a, _) in zip(inners, inners[1:]):
+            yield q, 1
+            yield dip(q, a, q)
+            yield a, 1
+        yield qk, 1
+        if B > qk:
+            if B >= hi:
+                yield dip(qk, B, qk)
+                yield hi, 1
+            else:
+                yield B, 0
+
+    last = None
+    for knot in raw():
+        if last is not None and last[0] == knot[0]:
+            if last[1] != knot[1]:
+                raise ConstructionError(
+                    f"conflicting knot values at x={knot[0]}")
+            continue
+        last = knot
+        yield knot
 
 
 def bump_from_sets(outer: IntervalUnion, inner: IntervalUnion) -> PiecewiseLinear:
@@ -202,59 +206,14 @@ def bump_from_sets(outer: IntervalUnion, inner: IntervalUnion) -> PiecewiseLinea
         inner_by_outer.setdefault(i, []).append(comp)
 
     pts = []
-
-    def put(x, y):
-        if pts and pts[-1][0] == x:
-            if pts[-1][1] != y:
-                raise ConstructionError(f"conflicting knot values at x={x}")
-            return
-        pts.append((x, y))
-
-    first = outer.components[0] if outer.components else None
-    v_lo = 1 if (first is not None and first[0] <= lo
-                 and inner_by_outer.get(0)) else 0
-    put(lo, v_lo)
-
     for idx, (A, B) in enumerate(outer.components):
-        inners = inner_by_outer.get(idx)
-        if not inners:
-            continue
-        p1, qk = inners[0][0], inners[-1][1]
-        # left edge
-        if A <= lo:
-            if p1 > A:
-                put(_half(A, p1), _half_value(p1))
-        else:
-            put(A, 0)
-        put(p1, 1)
-        # inner plateaus and gap tents
-        for (a1, b1), (a2, b2) in zip(inners, inners[1:]):
-            put(b1, 1)
-            put(_half(b1, a2), _half_value(b1))
-            put(a2, 1)
-        put(qk, 1)
-        # right edge
-        if B >= hi:
-            if B > qk:
-                put(_half(qk, B), _half_value(qk))
-                put(hi, 1)
-        else:
-            if B > qk:
-                put(B, 0)
-
+        if idx in inner_by_outer:
+            pts += _component_knots(A, B, inner_by_outer[idx], lo, hi)
+    if not pts or pts[0][0] > lo:
+        pts.insert(0, (lo, 0))
     if pts[-1][0] < hi:
-        put(hi, 0)
+        pts.append((hi, 0))
     return PiecewiseLinear.from_knots(pts)
-
-
-def _exact_half():
-    from fractions import Fraction
-    return Fraction(1, 2)
-
-
-def _half_value(ref):
-    """1/2 in the backend suggested by the reference scalar."""
-    return _exact_half() if is_exact(ref) else 0.5
 
 
 # ----------------------------------------------------------------------
@@ -398,17 +357,26 @@ def tietze_family(nested, tag="nest-partial-sums") -> FunctionFamily:
         lo, hi = domain
 
         def value(n, x):  # noqa: F811
+            # bump i is 1 while x lies in a child of its level-i component;
+            # at the level x leaves the nest all deeper bumps vanish
             total = 0
             for i in range(n + 1):
                 found = nested.component_and_children(i, x)
                 if found is None:
                     break
                 (A, B), children = found
-                v = bump_value_in_component(A, B, children, (lo, hi), x)
-                total += v
-                if v < 1:
-                    # x is off level i+1, so all deeper bumps vanish
-                    break
+                if any(a <= x <= b for a, b in children):
+                    total += 1
+                    continue
+                knots = _component_knots(A, B, children, lo, hi)
+                x0, y0 = next(knots)
+                for x1, y1 in knots:
+                    if x <= x1:
+                        break
+                    x0, y0 = x1, y1
+                # interpolated even at a knot, so that the value takes the
+                # backend of x (a knot value 1 at a domain endpoint is int)
+                return total + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))
             return total
 
     step_bound = None

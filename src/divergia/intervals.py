@@ -12,7 +12,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass, field
 
-from .errors import DomainMismatchError, ParameterError
+from .errors import ParameterError, require_same_domain
 from .scalars import TOL, format_scalar, is_exact, parse_scalar
 
 
@@ -102,21 +102,16 @@ class IntervalUnion:
                 best = d if best is None else min(best, d)
         return best
 
-    def _require_same_domain(self, other: "IntervalUnion"):
-        if self.domain != other.domain:
-            raise DomainMismatchError(
-                f"domains differ: {self.domain} vs {other.domain}")
-
     # -- set algebra ----------------------------------------------------
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        self._require_same_domain(other)
+        require_same_domain(self, other)
         return IntervalUnion(self.domain,
                              self.components + other.components,
                              exact=self.exact and other.exact)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        self._require_same_domain(other)
+        require_same_domain(self, other)
         out = []
         i = j = 0
         a_comps, b_comps = self.components, other.components
@@ -147,7 +142,7 @@ class IntervalUnion:
         return IntervalUnion(self.domain, out, exact=self.exact)
 
     def subset_of(self, other: "IntervalUnion") -> bool:
-        self._require_same_domain(other)
+        require_same_domain(self, other)
         starts = [a for a, _ in other.components]
         for a, b in self.components:
             i = bisect.bisect_right(starts, a)
@@ -163,7 +158,7 @@ class IntervalUnion:
         """True iff every component of self sits strictly inside a component
         of other, except at sides where other reaches a domain endpoint
         (interior is taken relative to the domain)."""
-        self._require_same_domain(other)
+        require_same_domain(self, other)
         lo, hi = self.domain
         tol = 0 if (self.exact and other.exact) else TOL
         starts = [a for a, _ in other.components]
@@ -203,7 +198,7 @@ def hausdorff_distance(A: IntervalUnion, B: IntervalUnion):
     The directed distance sup_{x in A} d(x, B) is attained either at a
     component endpoint of A or at a gap midpoint of B lying inside A.
     """
-    A._require_same_domain(B)
+    require_same_domain(A, B)
     if A.is_empty() and B.is_empty():
         return 0
     if A.is_empty() or B.is_empty():

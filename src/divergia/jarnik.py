@@ -106,45 +106,65 @@ def _bump_value_at(x, q, r_core, r_support, height=1):
     return height * (r_support - d) / (r_support - r_core)
 
 
+def _level_sums(level, pointwise, q_max):
+    """rule, value and increment of the family whose n-th function is the
+    sum of the bumps of levels q = 1..n.
+
+    ``level(q)`` materializes level q; ``pointwise(q, x)`` evaluates it
+    without materializing and raises ParameterError where it cannot, in
+    which case the materialized level is evaluated.  Every index is checked
+    against ``q_max`` before any level is built.
+    """
+    memo = {}
+
+    def check(n):
+        if n > q_max:
+            raise ParameterError(f"index {n} exceeds q_max = {q_max}")
+
+    def increment(q):
+        check(q)
+        if q not in memo:
+            memo[q] = level(q)
+        return memo[q]
+
+    def rule(n):
+        check(n)
+        acc = increment(1)
+        for q in range(2, n + 1):
+            acc = acc.add(increment(q))
+        return acc
+
+    def value(n, x):
+        check(n)
+        total = 0
+        for q in range(1, n + 1):
+            try:
+                total += pointwise(q, x)
+            except ParameterError:
+                total += increment(q).eval(x)
+        return total
+
+    return rule, value, increment
+
+
 def jarnik_family(params: JarnikParams) -> FunctionFamily:
     """rule(n) = sum over q = 1..n of the canonical bump that is 1 on the
     thin neighborhood of the rationals and 0 off the fat one."""
     alpha = params.alpha0
-    memo = {}
 
-    def delta(q):
-        if q > params.q_max:
-            raise ParameterError(
-                f"index {q} exceeds q_max = {params.q_max}")
-        if q not in memo:
-            memo[q] = bump_from_sets(z_set(q, alpha), y_set(q, alpha))
-        return memo[q]
+    def fat_radius(q):
+        return _radius(q, alpha, extra_num=q + 1, extra_den=q)
 
-    def rule(n):
-        acc = delta(1)
-        for q in range(2, n + 1):
-            acc = acc.add(delta(q))
-        return acc
-
-    def value(n, x):
-        if n > params.q_max:
-            raise ParameterError(f"index {n} exceeds q_max = {params.q_max}")
-        total = 0
-        for q in range(1, n + 1):
-            ry = _radius(q, alpha)
-            rz = _radius(q, alpha, extra_num=q + 1, extra_den=q)
-            try:
-                total += _bump_value_at(x, q, ry, rz)
-            except ParameterError:
-                total += delta(q).eval(x)
-        return total
+    rule, value, increment = _level_sums(
+        lambda q: bump_from_sets(z_set(q, alpha), y_set(q, alpha)),
+        lambda q, x: _bump_value_at(x, q, _radius(q, alpha), fat_radius(q)),
+        params.q_max)
 
     def step_bound(q):
-        rz = _radius(q, alpha, extra_num=q + 1, extra_den=q)
-        return min(1.0, float(2 * (q + 1) * rz))
+        return min(1.0, float(2 * (q + 1) * fat_radius(q)))
 
     return FunctionFamily(_DOMAIN, rule, tag=f"jarnik(alpha0={alpha})",
-                          min_index=1, increment=delta, value=value,
+                          min_index=1, increment=increment, value=value,
                           step_bound=step_bound)
 
 
@@ -181,37 +201,20 @@ def liouville_family(params: LiouvilleParams = None) -> FunctionFamily:
     """
     if params is None:
         params = LiouvilleParams()
-    memo = {}
 
-    def level_bump(q):
-        if q > params.q_max:
-            raise ParameterError(f"index {q} exceeds q_max = {params.q_max}")
-        if q not in memo:
-            rho = params.width(q)
-            outer = _centered_set(q, rho)
-            inner = _centered_set(q, rho / 2)
-            memo[q] = bump_from_sets(outer, inner).scale(params.height(q))
-        return memo[q]
+    def level(q):
+        rho = params.width(q)
+        outer = _centered_set(q, rho)
+        inner = _centered_set(q, rho / 2)
+        return bump_from_sets(outer, inner).scale(params.height(q))
 
-    def rule(n):
-        acc = level_bump(1)
-        for q in range(2, n + 1):
-            acc = acc.add(level_bump(q))
-        return acc
+    def pointwise(q, x):
+        rho = params.width(q)
+        return _bump_value_at(x, q, rho / 2, rho, height=params.height(q))
 
-    def value(n, x):
-        if n > params.q_max:
-            raise ParameterError(f"index {n} exceeds q_max = {params.q_max}")
-        total = 0.0
-        for q in range(1, n + 1):
-            rho = params.width(q)
-            try:
-                total += _bump_value_at(float(x), q, rho / 2, rho,
-                                        height=params.height(q))
-            except ParameterError:
-                total += level_bump(q).eval(float(x))
-        return total
-
+    rule, value, increment = _level_sums(level, pointwise, params.q_max)
+    # the levels are float, so points are coerced to float
     return FunctionFamily(_DOMAIN, rule,
                           tag=f"liouville(q_max={params.q_max})",
-                          min_index=1, increment=level_bump, value=value)
+                          min_index=1, increment=increment,
+                          value=lambda n, x: value(n, float(x)))

@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from .errors import DomainMismatchError, ParameterError
+from .errors import ParameterError, require_same_domain
 from .funcs import (FunctionFamily, MonotoneReport, PiecewiseLinear,
                     constant_family, monotone_check, tietze_family)
 from .ifs import CantorParams, cantor_nest
@@ -29,12 +29,6 @@ from .scalars import TOL, format_scalar, is_exact
 # combinators
 # ----------------------------------------------------------------------
 
-def _require_same_domain(f: FunctionFamily, g: FunctionFamily):
-    if not (f.domain[0] == g.domain[0] and f.domain[1] == g.domain[1]):
-        raise DomainMismatchError(
-            f"family domains differ: {f.domain} vs {g.domain}")
-
-
 def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
     """Indexwise sum, with ``value`` equal to the sum of the inputs' values.
 
@@ -44,7 +38,7 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
     flags_M(f) | flags_M(g) <= flags_M(f+g) <= flags_M/2(f) | flags_M/2(g):
     the sum can exceed M where neither summand does.
     """
-    _require_same_domain(f, g)
+    require_same_domain(f, g)
     min_index = max(f.min_index, g.min_index)
 
     increment = None
@@ -79,7 +73,7 @@ def product_family(f: FunctionFamily, g: FunctionFamily,
     surrogate of that condition; a failure attaches a warning to
     ``family.info`` instead of raising, since the caller asserts it.
     """
-    _require_same_domain(f, g)
+    require_same_domain(f, g)
     min_index = max(f.min_index, g.min_index)
     info = {}
 

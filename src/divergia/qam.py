@@ -159,6 +159,13 @@ def constant_generator_family(gen: Generator, domain) -> GeneratorFamily:
 # means
 # ----------------------------------------------------------------------
 
+def _unwrap_affine(F: Generator) -> Generator:
+    """The generator under any AffineOf wrappers of F."""
+    while isinstance(F, AffineOf):
+        F = F.inner
+    return F
+
+
 def _check_tuple(F: Generator, a: Sequence):
     if not a:
         raise ParameterError("mean of an empty tuple is undefined")
@@ -180,9 +187,7 @@ def qa_mean(F: Generator, a: Sequence, tol: float = 1e-12) -> float:
     if lo == hi:
         return float(lo)
 
-    base = F
-    while isinstance(base, AffineOf):
-        base = base.inner
+    base = _unwrap_affine(F)
     shift = float(hi) if isinstance(base, Exp) else 0.0
 
     def feval(x):
@@ -237,9 +242,7 @@ def ratio_condition(F: GeneratorFamily, x, y, z, n: int) -> float:
     if not x < y < z:
         raise ParameterError("need x < y < z")
     gen = F.rule(n)
-    base = gen
-    while isinstance(base, AffineOf):
-        base = base.inner
+    base = _unwrap_affine(gen)
     if isinstance(base, Exp):
         # factor out e^(c z): same quotient, overflow-free
         c = base.c

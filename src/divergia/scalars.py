@@ -14,34 +14,9 @@ from fractions import Fraction
 #: absolute tolerance for float-backend comparisons
 TOL = 1e-12
 
-Scalar = object  # int | Fraction | float; kept loose on purpose
-
 
 def is_exact(x) -> bool:
     return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
-
-
-def all_exact(values) -> bool:
-    return all(is_exact(v) for v in values)
-
-
-def eq(a, b, exact: bool) -> bool:
-    if exact:
-        return a == b
-    return abs(a - b) <= TOL
-
-
-def leq(a, b, exact: bool) -> bool:
-    if exact:
-        return a <= b
-    return a <= b + TOL
-
-
-def lt(a, b, exact: bool) -> bool:
-    """Strictly less, beyond tolerance on the float backend."""
-    if exact:
-        return a < b
-    return a < b - TOL
 
 
 def format_scalar(x) -> object:

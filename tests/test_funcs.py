@@ -223,13 +223,23 @@ def test_partial_sums_values_on_and_off_nest(nest_family):
     assert fam.rule(6).eval(Fraction(1, 2)) == Fraction(1, 2)
 
 
-def test_descent_value_matches_materialized(nest_family):
-    nest, fam = nest_family
+@pytest.mark.parametrize("theta, tol", [
+    (Fraction(1, 2), 0), (Fraction(1, 3), 0), (0.4, 1e-9)],
+    ids=["half", "third", "float"])
+def test_descent_value_matches_materialized(theta, tol):
+    nest = cantor_nest(CantorParams(theta))
+    fam = tietze_family(nest)
+    lo, hi = nest.params.domain
     rng = random.Random(23)
     f6 = fam.rule(6)
-    for _ in range(60):
-        x = Fraction(rng.randint(0, 4096), 4096)
-        assert fam.value(6, x) == f6.eval(x)
+    # the domain endpoints exercise the endpoint ramps
+    xs = [lo, hi] + [lo + (hi - lo) * Fraction(rng.randint(0, 4096), 4096)
+                     for _ in range(60)]
+    for x in xs:
+        if tol:
+            assert fam.value(6, x) == pytest.approx(f6.eval(x), abs=tol)
+        else:
+            assert fam.value(6, x) == f6.eval(x)
 
 
 def test_increment_equals_rule_difference(nest_family):

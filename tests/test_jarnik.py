@@ -179,3 +179,20 @@ def test_liouville_q_max_cap():
         LiouvilleParams(q_max=501)
     with pytest.raises(ParameterError):
         liouville_family(LiouvilleParams(q_max=5)).rule(6)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: jarnik_family(JarnikParams(Fraction(1, 2), q_max=5)),
+    lambda: liouville_family(LiouvilleParams(q_max=5)),
+], ids=["jarnik", "liouville"])
+def test_index_past_q_max_fails_before_any_level_is_built(build,
+                                                          monkeypatch):
+    def build_level(outer, inner):
+        raise AssertionError("a level was built for an invalid index")
+
+    monkeypatch.setattr("divergia.jarnik.bump_from_sets", build_level)
+    fam = build()
+    for call in (fam.rule, fam.increment,
+                 lambda n: fam.value(n, Fraction(1, 3))):
+        with pytest.raises(ParameterError):
+            call(6)
