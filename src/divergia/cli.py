@@ -139,7 +139,8 @@ def cmd_jarnik(args):
         theta = _parse_number(args.theta, backend)
         fam = jarnik_family(JarnikParams(theta, q_max=args.q_max))
     pw = fam.rule(args.n)
-    cuts = default_grid(fam.domain, points=10, q_max=1)
+    # the cuts take the backend of the knots, so a float family has float cuts
+    cuts = default_grid(pw.domain, points=10, q_max=1)
     integrals = [[format_scalar(a), format_scalar(b),
                   float(pw.integral(a, b))]
                  for a, b in zip(cuts, cuts[1:])]

@@ -353,31 +353,24 @@ def tietze_family(nested, tag="nest-partial-sums") -> FunctionFamily:
         return rule_memo[n]
 
     value = None
-    if hasattr(nested, "component_and_children"):
+    if hasattr(nested, "deepest_component"):
         lo, hi = domain
 
         def value(n, x):  # noqa: F811
             # bump i is 1 while x lies in a child of its level-i component;
-            # at the level x leaves the nest all deeper bumps vanish
-            total = 0
-            for i in range(n + 1):
-                found = nested.component_and_children(i, x)
-                if found is None:
+            # at the level k where x leaves the nest all deeper bumps vanish
+            k, (A, B), children = nested.deepest_component(n, x)
+            if any(a <= x <= b for a, b in children):
+                return k + 1
+            knots = _component_knots(A, B, children, lo, hi)
+            x0, y0 = next(knots)
+            for x1, y1 in knots:
+                if x <= x1:
                     break
-                (A, B), children = found
-                if any(a <= x <= b for a, b in children):
-                    total += 1
-                    continue
-                knots = _component_knots(A, B, children, lo, hi)
-                x0, y0 = next(knots)
-                for x1, y1 in knots:
-                    if x <= x1:
-                        break
-                    x0, y0 = x1, y1
-                # interpolated even at a knot, so that the value takes the
-                # backend of x (a knot value 1 at a domain endpoint is int)
-                return total + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-            return total
+                x0, y0 = x1, y1
+            # interpolated even at a knot, so that the value takes the
+            # backend of x (a knot value 1 at a domain endpoint is int)
+            return k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))
 
     step_bound = None
     if hasattr(nested, "measure_level"):

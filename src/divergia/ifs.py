@@ -115,10 +115,11 @@ class CantorNest:
     """Nested closed sets: level 0 is [0, 1], each next level is the image
     of the previous one under both maps.
 
-    Besides materializing whole levels, the nest supports logarithmic-time
-    local queries (component of a level containing a point, with its two
-    children) by descending the binary address of the point; level n is
-    never built for that, which keeps deep evaluations cheap.
+    Besides materializing whole levels, the nest answers local queries
+    (the deepest component of a level up to n containing a point, with its
+    two children) by one descent of the binary address of the point
+    through at most n levels; level n is never built for that, so a
+    pointwise value at index n costs one descent of n levels.
     """
 
     def __init__(self, params: CantorParams):
@@ -162,23 +163,33 @@ class CantorNest:
         out.sort(key=lambda item: item[1][0])
         return out
 
-    def component_and_children(self, n: int, x):
-        """Component of level n containing x together with its two child
-        components at level n + 1, or None when x is off level n."""
+    def deepest_component(self, n: int, x):
+        """Deepest level k <= n whose component contains x, as (k, component,
+        children), where children are the component's two components at
+        level k + 1; one descent of the address of x through k levels."""
+        if n < 0:
+            raise ParameterError("level index must be >= 0")
         lo, hi = self.params.domain
         if not lo <= x <= hi:
             raise ParameterError(f"{x} outside domain")
         ratio, offset = (1, 0) if self.params.exact else (1.0, 0.0)
         interval = (lo, hi)
-        for _ in range(n):
-            for (c, t), (a, b) in self._children(ratio, offset):
+        children = self._children(ratio, offset)
+        for k in range(n):
+            for (c, t), (a, b) in children:
                 if a <= x <= b:
                     ratio, offset, interval = c, t, (a, b)
                     break
             else:
-                return None
-        children = [iv for _, iv in self._children(ratio, offset)]
-        return interval, children
+                return k, interval, [iv for _, iv in children]
+            children = self._children(ratio, offset)
+        return n, interval, [iv for _, iv in children]
+
+    def component_and_children(self, n: int, x):
+        """Component of level n containing x together with its two child
+        components at level n + 1, or None when x is off level n."""
+        k, interval, children = self.deepest_component(n, x)
+        return (interval, children) if k == n else None
 
     def contains(self, n: int, x) -> bool:
         return self.component_and_children(n, x) is not None

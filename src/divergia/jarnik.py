@@ -34,12 +34,15 @@ def _radius(q: int, alpha, extra_num: int = 1, extra_den: int = 1):
 
 
 def _centered_set(q: int, radius) -> IntervalUnion:
-    lo, hi = _DOMAIN
+    # a float radius puts the whole set, domain endpoints included, on the
+    # float backend
+    exact = isinstance(radius, Fraction)
+    lo, hi = _DOMAIN if exact else map(float, _DOMAIN)
     comps = []
     for p in range(q + 1):
-        c = Fraction(p, q) if isinstance(radius, Fraction) else p / q
+        c = Fraction(p, q) if exact else p / q
         comps.append((max(lo, c - radius), min(hi, c + radius)))
-    return IntervalUnion(_DOMAIN, comps)
+    return IntervalUnion((lo, hi), comps)
 
 
 def _check_q_alpha(q: int, alpha):

@@ -1,5 +1,6 @@
 import json
 
+import jsonschema
 import pytest
 
 from divergia.cli import main
@@ -64,6 +65,17 @@ def test_liouville_json(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["family"].startswith("liouville")
+
+
+def test_liouville_document_is_float(capsys, piecewise_linear_schema):
+    code, out, _ = run(capsys, "liouville", "--n", "8")
+    assert code == 0
+    doc = json.loads(out)
+    jsonschema.validate({"knots": doc["knots"]}, piecewise_linear_schema)
+    # no exact "p/q" string among the float knots and cuts
+    assert all(type(v) is float for knot in doc["knots"] for v in knot)
+    assert all(type(v) is float
+               for row in doc["subinterval_integrals"] for v in row)
 
 
 def test_check_reports_rows(capsys):

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from divergia import (CantorParams, ConstructionError, DomainMismatchError,
-                      IntervalUnion, ParameterError, PiecewiseLinear,
-                      bump_from_sets, cantor_nest, constant_family,
-                      monotone_check, tietze_family)
+from divergia import (CantorNest, CantorParams, ConstructionError,
+                      DomainMismatchError, IntervalUnion, ParameterError,
+                      PiecewiseLinear, bump_from_sets, cantor_nest,
+                      constant_family, monotone_check, tietze_family)
 
 DOMAIN = (0, 1)
 
@@ -231,15 +231,37 @@ def test_descent_value_matches_materialized(theta, tol):
     fam = tietze_family(nest)
     lo, hi = nest.params.domain
     rng = random.Random(23)
-    f6 = fam.rule(6)
     # the domain endpoints exercise the endpoint ramps
-    xs = [lo, hi] + [lo + (hi - lo) * Fraction(rng.randint(0, 4096), 4096)
-                     for _ in range(60)]
-    for x in xs:
-        if tol:
-            assert fam.value(6, x) == pytest.approx(f6.eval(x), abs=tol)
-        else:
-            assert fam.value(6, x) == f6.eval(x)
+    base = [lo, hi] + [lo + (hi - lo) * Fraction(rng.randint(0, 4096), 4096)
+                       for _ in range(60)]
+    for n in range(9):
+        f = fam.rule(n)
+        # the knots of rule(n) and the endpoints of the level-n children
+        # hold points that stay in level n as well as points that leave
+        # the nest at every level k < n
+        xs = base + list(f.xs) + [
+            e for comp in nest.level(n + 1).components for e in comp]
+        for x in xs:
+            if tol:
+                assert fam.value(n, x) == pytest.approx(f.eval(x), abs=tol)
+            else:
+                assert fam.value(n, x) == f.eval(x)
+
+
+def test_value_is_one_descent(monkeypatch):
+    calls = []
+    children = CantorNest._children
+
+    def counting(self, ratio, offset):
+        calls.append((ratio, offset))
+        return children(self, ratio, offset)
+
+    monkeypatch.setattr(CantorNest, "_children", counting)
+    nest = cantor_nest(CantorParams(Fraction(1, 2)))
+    fam = tietze_family(nest)
+    assert fam.value(30, nest.fixed_point_left()) == 31
+    # one call per level of the descent, plus the children at level 30
+    assert len(calls) <= 31
 
 
 def test_increment_equals_rule_difference(nest_family):

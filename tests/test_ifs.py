@@ -152,6 +152,27 @@ def test_deep_descent_is_cheap(nest):
     assert not nest.contains(60, HALF)
 
 
+def test_deepest_component_matches_materialized_levels(nest):
+    rng = random.Random(43)
+    xs = [Fraction(1, 6), HALF] + [Fraction(rng.randint(0, 2048), 2048)
+                                   for _ in range(40)]
+    for n in range(8):
+        for x in xs:
+            k, (a, b), children = nest.deepest_component(n, x)
+            assert k == max(i for i in range(n + 1)
+                            if nest.level(i).contains_point(x))
+            assert (a, b) in nest.level(k).components and a <= x <= b
+            assert children == [c for c in nest.level(k + 1).components
+                                if a <= c[0] and c[1] <= b]
+
+
+@pytest.mark.parametrize(
+    "query", ["deepest_component", "component_and_children", "contains"])
+def test_negative_level_rejected(nest, query):
+    with pytest.raises(ParameterError, match="level index must be >= 0"):
+        getattr(nest, query)(-1, HALF)
+
+
 def test_float_backend_nest():
     nest = cantor_nest(CantorParams(0.35))
     lv3 = nest.level(3)

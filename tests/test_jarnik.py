@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 
+import jsonschema
 import pytest
 
 from divergia import (JarnikParams, LiouvilleParams, ParameterError,
@@ -58,6 +59,18 @@ def test_q_must_be_positive():
 def test_exact_backend_for_integral_alpha():
     assert y_set(3, 4).exact
     assert not y_set(3, 4.5).exact
+
+
+def test_float_sets_and_liouville_knots_are_float(piecewise_linear_schema):
+    # a float radius puts the domain endpoints on the float backend too
+    Y = y_set(3, 4.5)
+    assert all(type(v) is float
+               for v in Y.domain + sum(Y.components, ()))
+    pw = liouville_family().rule(8)
+    assert all(type(v) is float for v in pw.xs + pw.ys)
+    doc = pw.to_json()
+    jsonschema.validate(doc, piecewise_linear_schema)
+    assert all(type(v) is float for knot in doc["knots"] for v in knot)
 
 
 # ----------------------------------------------------------------------
