@@ -33,12 +33,15 @@ from .scalars import format_scalar
 
 def _parse_number(text: str, backend: str):
     """Parse a scalar, keeping it exact unless the float backend is forced."""
-    if backend == "float":
-        return float(Fraction(text))
     try:
-        return Fraction(text)
-    except ValueError as exc:
+        value = Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse number {text!r}") from exc
+    return float(value) if backend == "float" else value
+
+
+def _parse_floats(text: str):
+    return [_parse_number(t, "float") for t in text.split(",")]
 
 
 def _backend(args) -> str:
@@ -132,11 +135,11 @@ def _family_from_tag(tag: str, args, backend: str):
 
 
 def cmd_jarnik(args):
-    backend = _backend(args)
-    if args.liouville:
+    """The ``jarnik`` and ``liouville`` commands."""
+    if args.command == "liouville":
         fam = liouville_family(LiouvilleParams(q_max=args.q_max))
     else:
-        theta = _parse_number(args.theta, backend)
+        theta = _parse_number(args.theta, _backend(args))
         fam = jarnik_family(JarnikParams(theta, q_max=args.q_max))
     pw = fam.rule(args.n)
     # the cuts take the backend of the knots, so a float family has float cuts
@@ -182,14 +185,9 @@ def cmd_anydh(args):
     _emit(args, {"command": "anydh", **report.to_json()})
 
 
-def cmd_liouville(args):
-    args.liouville = True
-    cmd_jarnik(args)
-
-
 def cmd_dim(args):
     if args.moran:
-        ratios = [float(Fraction(t)) for t in args.moran.split(",")]
+        ratios = _parse_floats(args.moran)
         s = moran_dimension(ratios)
         _emit(args, {"command": "dim", "method": "moran",
                      "ratios": ratios, "dimension": s})
@@ -209,7 +207,7 @@ def cmd_dim(args):
         if len(scales) < 4:
             scales = [2.0 ** -k for k in range(2, 6)]
     else:
-        scales = [float(Fraction(t)) for t in args.scales.split(",")]
+        scales = _parse_floats(args.scales)
     shortest = min((float(b - a) for a, b in A.components if b > a),
                    default=0.0)
     warn = None
@@ -229,18 +227,18 @@ def _parse_generator(text: str):
     kind, _, param = text.partition(":")
     kind = kind.strip().lower()
     if kind == "power":
-        return Power(float(Fraction(param)))
+        return Power(_parse_number(param, "float"))
     if kind == "log":
         return Log()
     if kind == "exp":
-        return Exp(float(Fraction(param)))
+        return Exp(_parse_number(param, "float"))
     raise ParameterError(
         f"unknown generator {text!r}; use power:P, log, or exp:C")
 
 
 def cmd_qam_mean(args):
     gen = _parse_generator(args.gen)
-    values = [float(Fraction(t)) for t in args.tuple.split(",")]
+    values = _parse_floats(args.tuple)
     doc = {"command": "qam mean", "generator": args.gen, "tuple": values}
     if args.gen.startswith("power:"):
         doc["power_mean"] = power_mean(gen.p, values)
@@ -269,7 +267,11 @@ def cmd_qam_maximal(args):
 def cmd_qam_compare(args):
     F = _parse_generator(args.first)
     G = _parse_generator(args.second)
-    lo, hi = (float(Fraction(t)) for t in args.domain.split(","))
+    bounds = _parse_floats(args.domain)
+    if len(bounds) != 2:
+        raise ParameterError(
+            f"--domain needs two comma-separated values, got {args.domain!r}")
+    lo, hi = bounds
     grid = [lo + (hi - lo) * k / 32 for k in range(33)]
     grid = [g for g in grid if F.in_domain(g) and G.in_domain(g)]
     verdict = comparability(F, G, grid, seed=args.seed)
@@ -293,10 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True):
+    def common(p, fmt=True, backend=True):
         p.add_argument("--output", "-o", help="write to file instead of stdout")
-        p.add_argument("--backend", choices=["exact", "float"],
-                       help="overrides DIVERGIA_BACKEND (default exact)")
+        if backend:
+            p.add_argument("--backend", choices=["exact", "float"],
+                           help="overrides DIVERGIA_BACKEND (default exact)")
         if fmt:
             p.add_argument("--format", choices=["json", "csv"],
                            default="json")
@@ -311,19 +314,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cantor)
 
     p = sub.add_parser("jarnik", help="rational-neighborhood family")
-    p.add_argument("--theta")
+    p.add_argument("--theta", required=True)
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--q-max", type=int, default=100)
-    p.add_argument("--liouville", action="store_true",
-                   help="use the zero-dimension variant")
     common(p)
     p.set_defaults(func=cmd_jarnik)
 
     p = sub.add_parser("liouville", help="zero-dimension family")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--q-max", type=int, default=50)
-    common(p)
-    p.set_defaults(func=cmd_liouville)
+    common(p, backend=False)
+    p.set_defaults(func=cmd_jarnik)
 
     p = sub.add_parser("anydh", help="max-family with prescribed dimension")
     p.add_argument("--theta", required=True)
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="interval-union JSON file")
     p.add_argument("--scales", default="auto",
                    help="'auto' or comma-separated deltas")
-    common(p)
+    common(p, backend=False)
     p.set_defaults(func=cmd_dim)
 
     p = sub.add_parser("qam", help="quasiarithmetic means")
@@ -366,13 +367,13 @@ def build_parser() -> argparse.ArgumentParser:
     q = qsub.add_parser("mean")
     q.add_argument("--gen", required=True, help="power:P | log | exp:C")
     q.add_argument("--tuple", required=True, help="comma-separated values")
-    common(q, fmt=False)
+    common(q, fmt=False, backend=False)
     q.set_defaults(func=cmd_qam_mean)
 
     q = qsub.add_parser("maximal")
     q.add_argument("--family", default="exp:n")
     q.add_argument("--N", type=int, default=50)
-    common(q, fmt=False)
+    common(q, fmt=False, backend=False)
     q.set_defaults(func=cmd_qam_maximal)
 
     q = qsub.add_parser("compare")
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--second", required=True)
     q.add_argument("--domain", default="1,2")
     q.add_argument("--seed", type=int, default=0)
-    common(q, fmt=False)
+    common(q, fmt=False, backend=False)
     q.set_defaults(func=cmd_qam_compare)
 
     return parser

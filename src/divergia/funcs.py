@@ -221,63 +221,92 @@ def bump_from_sets(outer: IntervalUnion, inner: IntervalUnion) -> PiecewiseLinea
 # ----------------------------------------------------------------------
 
 class FunctionFamily:
-    """Lazily indexed nondecreasing sequence of piecewise-linear functions.
+    """Lazily indexed nondecreasing sequence of piecewise-linear functions
+    f_n = g_min + ... + g_n, n >= ``min_index`` (and <= ``max_index`` when
+    given).
 
-    ``rule(n)`` materializes the n-th function (memoized).  Optional hooks
-    keep deep indices tractable:
+    The family is built from ``rule(n)``, which gives f_n, or from
+    ``increment(n)``, which gives the summand g_n; without a ``rule``,
+    ``rule(n)`` left-folds the summands onto the deepest memoized f_k with
+    k < n, so only the functions callers ask for are kept.  ``rule`` and
+    ``increment`` are memoized for every family; ``increment`` at the first
+    index is ``rule(min_index)``, and without a hook it is the difference
+    rule(n) - rule(n-1).  Every index is checked before any work starts.
 
-    * ``increment(n)`` gives rule(n) - rule(n-1) without materializing
-      either side;
+    Optional hooks keep deep indices tractable:
+
     * ``value(n, x)`` evaluates pointwise without materializing rule(n);
     * ``step_bound(n)`` bounds the integral of increment(n) over any
       subinterval of the domain, enabling certified "never reaches the
       threshold" verdicts.
     """
 
-    def __init__(self, domain, rule, tag="", min_index=1,
+    def __init__(self, domain, rule=None, tag="", min_index=1,
                  increment: Optional[Callable] = None,
                  value: Optional[Callable] = None,
                  step_bound: Optional[Callable] = None,
-                 info: Optional[dict] = None):
+                 info: Optional[dict] = None,
+                 max_index: Optional[int] = None):
+        if rule is None and increment is None:
+            raise ParameterError("a family needs a rule or an increment")
         self.domain = tuple(domain)
         self.tag = tag
         self.min_index = min_index
+        self.max_index = max_index
         self._rule = rule
         self._increment = increment
         self._value = value
         self.step_bound = step_bound
         self.info = info if info is not None else {}
         self._memo = {}
-        self._lock = threading.Lock()
+        self._increments = {}
+        # reentrant: the fold and the default increment call rule again
+        self._lock = threading.RLock()
 
-    def rule(self, n: int) -> PiecewiseLinear:
+    def _check(self, n: int):
         if n < self.min_index:
             raise ParameterError(
                 f"index {n} below first index {self.min_index}")
+        if self.max_index is not None and n > self.max_index:
+            raise ParameterError(
+                f"index {n} exceeds q_max = {self.max_index}")
+
+    def rule(self, n: int) -> PiecewiseLinear:
+        self._check(n)
         with self._lock:
             if n not in self._memo:
-                self._memo[n] = self._rule(n)
+                self._memo[n] = self._rule(n) if self._rule is not None \
+                    else self._fold(n)
             return self._memo[n]
 
+    def _fold(self, n: int) -> PiecewiseLinear:
+        k = max((k for k in self._memo if k < n), default=self.min_index)
+        if k not in self._memo:
+            self._memo[k] = self._increment(k)
+        acc = self._memo[k]
+        for q in range(k + 1, n + 1):
+            acc = acc.add(self.increment(q))
+        return acc
+
     def value(self, n: int, x):
+        self._check(n)
         if self._value is not None:
-            if n < self.min_index:
-                raise ParameterError(
-                    f"index {n} below first index {self.min_index}")
             return self._value(n, x)
         return self.rule(n).eval(x)
 
-    @property
-    def has_increment(self) -> bool:
-        return self._increment is not None
-
     def increment(self, n: int) -> PiecewiseLinear:
-        """rule(n) - rule(n-1), for n > min_index."""
-        if n <= self.min_index:
-            raise ParameterError(f"no increment at the first index {n}")
-        if self._increment is not None:
-            return self._increment(n)
-        return self.rule(n).sub(self.rule(n - 1))
+        """rule(n) - rule(n-1), and rule(n) at the first index."""
+        self._check(n)
+        with self._lock:
+            if n not in self._increments:
+                if n == self.min_index:
+                    inc = self.rule(n)
+                elif self._increment is not None:
+                    inc = self._increment(n)
+                else:
+                    inc = self.rule(n).sub(self.rule(n - 1))
+                self._increments[n] = inc
+            return self._increments[n]
 
 
 @dataclass(frozen=True)
@@ -315,42 +344,23 @@ def tietze_family(nested, tag="nest-partial-sums") -> FunctionFamily:
     """Partial sums of canonical bumps over a nested sequence of closed
     sets D_0 = domain, D_{n+1} inside the relative interior of D_n.
 
+    ``nested(i)`` gives D_i (a ``CantorNest`` or any callable), and
     rule(n) = sum_{i=0}^{n} bump(D_i, D_{i+1}); on the infinite
     intersection the n-th partial sum equals n + 1, and off D_N every
     partial sum stays strictly below N at interior points.
     """
-    get_level = nested.level if hasattr(nested, "level") else nested
-    memo_level, memo_delta = {}, {}
-    lock = threading.Lock()
-
-    def level(n):
-        if n not in memo_level:
-            memo_level[n] = get_level(n)
-        return memo_level[n]
-
-    d0 = level(0)
+    d0 = nested(0)
     domain = d0.domain
     if d0.components != (tuple(domain),):
         raise ConstructionError("level 0 of the nest must be the full domain")
 
     def delta(i):
-        with lock:
-            if i not in memo_delta:
-                outer, inner = level(i), level(i + 1)
-                if not inner.subset_of_relative_interior(outer):
-                    raise ConstructionError(
-                        f"nesting violated at level {i}: level {i + 1} is "
-                        f"not inside the relative interior of level {i}")
-                memo_delta[i] = bump_from_sets(outer, inner)
-            return memo_delta[i]
-
-    rule_memo = {}
-
-    def rule(n):
-        if n not in rule_memo:
-            acc = delta(0) if n == 0 else rule(n - 1).add(delta(n))
-            rule_memo[n] = acc
-        return rule_memo[n]
+        outer, inner = nested(i), nested(i + 1)
+        if not inner.subset_of_relative_interior(outer):
+            raise ConstructionError(
+                f"nesting violated at level {i}: level {i + 1} is "
+                f"not inside the relative interior of level {i}")
+        return bump_from_sets(outer, inner)
 
     value = None
     if hasattr(nested, "deepest_component"):
@@ -378,7 +388,7 @@ def tietze_family(nested, tag="nest-partial-sums") -> FunctionFamily:
             # bump n is <= 1 and supported on level n
             return float(nested.measure_level(n))
 
-    return FunctionFamily(domain, rule, tag=tag, min_index=0,
+    return FunctionFamily(domain, tag=tag, min_index=0,
                           increment=delta, value=value,
                           step_bound=step_bound)
 

@@ -109,45 +109,18 @@ def _bump_value_at(x, q, r_core, r_support, height=1):
     return height * (r_support - d) / (r_support - r_core)
 
 
-def _level_sums(level, pointwise, q_max):
-    """rule, value and increment of the family whose n-th function is the
-    sum of the bumps of levels q = 1..n.
-
-    ``level(q)`` materializes level q; ``pointwise(q, x)`` evaluates it
-    without materializing and raises ParameterError where it cannot, in
-    which case the materialized level is evaluated.  Every index is checked
-    against ``q_max`` before any level is built.
-    """
-    memo = {}
-
-    def check(n):
-        if n > q_max:
-            raise ParameterError(f"index {n} exceeds q_max = {q_max}")
-
-    def increment(q):
-        check(q)
-        if q not in memo:
-            memo[q] = level(q)
-        return memo[q]
-
-    def rule(n):
-        check(n)
-        acc = increment(1)
-        for q in range(2, n + 1):
-            acc = acc.add(increment(q))
-        return acc
-
-    def value(n, x):
-        check(n)
-        total = 0
-        for q in range(1, n + 1):
-            try:
-                total += pointwise(q, x)
-            except ParameterError:
-                total += increment(q).eval(x)
-        return total
-
-    return rule, value, increment
+def _level_sums(fam, pointwise, n, x):
+    """Pointwise value at index n of ``fam``, whose q-th increment is the
+    bump sum of level q: ``pointwise(q, x)`` evaluates level q without
+    materializing it and raises ParameterError where it cannot, in which
+    case the memoized increment of the family is evaluated."""
+    total = 0
+    for q in range(1, n + 1):
+        try:
+            total += pointwise(q, x)
+        except ParameterError:
+            total += fam.increment(q).eval(x)
+    return total
 
 
 def jarnik_family(params: JarnikParams) -> FunctionFamily:
@@ -158,17 +131,19 @@ def jarnik_family(params: JarnikParams) -> FunctionFamily:
     def fat_radius(q):
         return _radius(q, alpha, extra_num=q + 1, extra_den=q)
 
-    rule, value, increment = _level_sums(
-        lambda q: bump_from_sets(z_set(q, alpha), y_set(q, alpha)),
-        lambda q, x: _bump_value_at(x, q, _radius(q, alpha), fat_radius(q)),
-        params.q_max)
+    def pointwise(q, x):
+        return _bump_value_at(x, q, _radius(q, alpha), fat_radius(q))
 
     def step_bound(q):
         return min(1.0, float(2 * (q + 1) * fat_radius(q)))
 
-    return FunctionFamily(_DOMAIN, rule, tag=f"jarnik(alpha0={alpha})",
-                          min_index=1, increment=increment, value=value,
-                          step_bound=step_bound)
+    fam = FunctionFamily(
+        _DOMAIN, tag=f"jarnik(alpha0={alpha})", min_index=1,
+        max_index=params.q_max,
+        increment=lambda q: bump_from_sets(z_set(q, alpha), y_set(q, alpha)),
+        value=lambda n, x: _level_sums(fam, pointwise, n, x),
+        step_bound=step_bound)
+    return fam
 
 
 @dataclass(frozen=True)
@@ -215,9 +190,9 @@ def liouville_family(params: LiouvilleParams = None) -> FunctionFamily:
         rho = params.width(q)
         return _bump_value_at(x, q, rho / 2, rho, height=params.height(q))
 
-    rule, value, increment = _level_sums(level, pointwise, params.q_max)
     # the levels are float, so points are coerced to float
-    return FunctionFamily(_DOMAIN, rule,
-                          tag=f"liouville(q_max={params.q_max})",
-                          min_index=1, increment=increment,
-                          value=lambda n, x: value(n, float(x)))
+    fam = FunctionFamily(
+        _DOMAIN, tag=f"liouville(q_max={params.q_max})", min_index=1,
+        max_index=params.q_max, increment=level,
+        value=lambda n, x: _level_sums(fam, pointwise, n, float(x)))
+    return fam

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import ParameterError, require_same_domain
 from .funcs import (FunctionFamily, MonotoneReport, PiecewiseLinear,
-                    constant_family, monotone_check, tietze_family)
+                    constant_family, tietze_family)
 from .ifs import CantorParams, cantor_nest
 from .intervals import IntervalUnion
 from .jarnik import LiouvilleParams, liouville_family
@@ -41,11 +41,6 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
     require_same_domain(f, g)
     min_index = max(f.min_index, g.min_index)
 
-    increment = None
-    if f.has_increment and g.has_increment:
-        def increment(n):  # noqa: F811
-            return f.increment(n).add(g.increment(n))
-
     step_bound = None
     if f.step_bound is not None and g.step_bound is not None:
         def step_bound(n):  # noqa: F811
@@ -56,7 +51,7 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
         lambda n: f.rule(n).add(g.rule(n)),
         tag=f"sum({f.tag}, {g.tag})",
         min_index=min_index,
-        increment=increment,
+        increment=lambda n: f.increment(n).add(g.increment(n)),
         value=lambda n, x: f.value(n, x) + g.value(n, x),
         step_bound=step_bound,
     )
@@ -280,14 +275,6 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
     if not subintervals:
         raise ParameterError("need at least one subinterval")
 
-    inc_cache = {}
-
-    def increment(n):
-        if n not in inc_cache:
-            inc_cache[n] = (fam.rule(n) if n == fam.min_index
-                            else fam.increment(n))
-        return inc_cache[n]
-
     tail_cache = {}
 
     def tail(n):
@@ -307,7 +294,7 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
         reached_at = None
         certified = False
         for n in range(fam.min_index, n_max + 1):
-            running = running + increment(n).integral(x, y)
+            running = running + fam.increment(n).integral(x, y)
             column.append((n, running))
             deepest = max(deepest, n)
             if running > M:
@@ -321,21 +308,18 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
                                    certified_not_reached=certified,
                                    integrals=tuple(column)))
 
-    if fam.has_increment:
-        ok, violation = True, None
-        for n in sorted(inc_cache):
-            if n == fam.min_index:
-                continue
-            inc = inc_cache[n]
-            low = inc.min_value()
-            if low < -TOL:
-                x_bad = inc.xs[inc.ys.index(low)]
-                ok, violation = False, (n - 1, x_bad, low)
-                break
-        monotone = MonotoneReport(ok, n_checked=deepest,
-                                  first_violation=violation)
-    else:
-        monotone = monotone_check(fam, max(deepest, fam.min_index + 1))
+    # the scan touched every increment up to the deepest index
+    violation = None
+    for n in range(fam.min_index + 1, deepest + 1):
+        inc = fam.increment(n)
+        low = inc.min_value()
+        if low < -TOL:
+            violation = (n - 1, inc.xs[inc.ys.index(low)], low)
+            break
+    monotone = MonotoneReport(
+        violation is None,
+        n_checked=deepest if violation is None else violation[0],
+        first_violation=violation)
 
     return MaxFamilyReport(monotone=monotone, rows=tuple(rows), M=M,
                            n_max=n_max, tag=fam.tag, grid_note=grid_note)
@@ -359,9 +343,8 @@ def anydh_family(theta, eps=None,
         raise ParameterError(f"theta must lie in [0, 1], got {theta}")
     z = liouville_family(liouville_params)
     if theta == 0:
-        return FunctionFamily(z.domain, z.rule, tag="anydh(theta=0)",
-                              min_index=z.min_index, increment=z.increment,
-                              value=z.value)
+        z.tag = "anydh(theta=0)"
+        return z
     if theta == 1:
         d = constant_family(z.domain, lambda n: n, tag="linear-constants")
     else:

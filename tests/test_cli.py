@@ -174,6 +174,34 @@ def test_bad_number_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    "cantor --theta abc --backend float",
+    "cantor --theta 1/0",
+    "dim --moran abc",
+    "qam mean --gen power:x --tuple 1,2",
+    "qam mean --gen power:1 --tuple 1,abc",
+    "qam compare --first power:1 --second power:2 --domain 1",
+    "qam compare --first power:1 --second power:2 --domain 1,2,3",
+])
+def test_malformed_number_is_a_parameter_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert json.loads(err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize("argv", [
+    "jarnik --n 3",
+    "jarnik --theta 1/2 --liouville",
+    "liouville --backend float",
+    "dim --moran 1/4,1/4 --backend float",
+    "qam maximal --backend float",
+])
+def test_usage_error_exits_with_code_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+
+
 def test_output_file(capsys, tmp_path):
     path = tmp_path / "out.json"
     code, _, _ = run(capsys, "cantor", "--theta", "1/2", "--levels", "1",

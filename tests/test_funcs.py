@@ -1,4 +1,7 @@
 import random
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divergia import (CantorNest, CantorParams, ConstructionError,
-                      DomainMismatchError, IntervalUnion, ParameterError,
-                      PiecewiseLinear, bump_from_sets, cantor_nest,
-                      constant_family, monotone_check, tietze_family)
+                      DomainMismatchError, IntervalUnion, JarnikParams,
+                      LiouvilleParams, ParameterError, PiecewiseLinear,
+                      bump_from_sets, cantor_nest, constant_family,
+                      jarnik_family, liouville_family, monotone_check,
+                      sum_family, tietze_family)
 
 DOMAIN = (0, 1)
 
@@ -187,6 +192,63 @@ def test_family_memoizes_rule():
     fam.rule(2)
     fam.rule(2)
     assert calls == [2]
+
+
+def test_family_memos_hold_under_threads():
+    calls = []
+
+    def step(n):
+        calls.append(n)
+        time.sleep(1e-3)  # lets another thread in mid-update
+        return PiecewiseLinear(DOMAIN, (1, 1))
+
+    from divergia import FunctionFamily
+    fam = FunctionFamily(DOMAIN, increment=step, max_index=40)
+    errors = []
+
+    def worker(seed):
+        rng = random.Random(seed)
+        try:
+            for _ in range(60):
+                n = rng.randint(1, 40)
+                assert fam.rule(n).ys == (n, n)
+                assert fam.increment(n).ys == (1, 1)
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    # every summand was built once: no memo update was lost
+    assert sorted(calls) == list(range(1, 41))
+
+
+def test_family_needs_rule_or_increment():
+    from divergia import FunctionFamily
+    with pytest.raises(ParameterError):
+        FunctionFamily(DOMAIN)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tietze_family(cantor_nest(CantorParams(Fraction(1, 2)))),
+    lambda: jarnik_family(JarnikParams(Fraction(1, 2), q_max=5)),
+    lambda: sum_family(
+        tietze_family(cantor_nest(CantorParams(Fraction(1, 2)))),
+        liouville_family(LiouvilleParams(q_max=5))),
+], ids=["tietze", "jarnik", "sum"])
+def test_increment_at_first_index_is_first_rule(build):
+    fam = build()
+    assert fam.increment(fam.min_index) == fam.rule(fam.min_index)
 
 
 def test_family_index_below_min_rejected():

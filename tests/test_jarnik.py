@@ -6,7 +6,8 @@ import jsonschema
 import pytest
 
 from divergia import (JarnikParams, LiouvilleParams, ParameterError,
-                      jarnik_family, liouville_family, y_set, z_set)
+                      PiecewiseLinear, jarnik_family, liouville_family,
+                      y_set, z_set)
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -94,6 +95,22 @@ def test_rule_is_sum_of_increments(jfam):
     s = jfam.increment(2).add(jfam.increment(3)).add(jfam.rule(1))
     for x in sorted(set(r3.xs) | set(s.xs)):
         assert r3.eval(x) == s.eval(x)
+
+
+def test_rule_folds_onto_the_deepest_memoized_rule(monkeypatch):
+    fam = jarnik_family(JarnikParams(Fraction(1, 2), q_max=10))
+    fam.rule(5)
+    adds = []
+    add = PiecewiseLinear.add
+
+    def counting(self, other):
+        adds.append(other)
+        return add(self, other)
+
+    monkeypatch.setattr(PiecewiseLinear, "add", counting)
+    fam.rule(8)
+    # the increments of levels 6, 7 and 8 onto rule(5), not a refold
+    assert len(adds) == 3
 
 
 def test_fast_value_matches_materialized(jfam):
