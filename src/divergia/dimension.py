@@ -91,10 +91,15 @@ class DimensionEstimate:
 
 def box_dimension(A: IntervalUnion, scales) -> DimensionEstimate:
     """Least-squares slope of log N(delta) against log(1/delta), clamped
-    to [0, 1]; flagged low-confidence when the counts never change."""
+    to [0, 1]; flagged low-confidence when the counts never change.
+
+    Needs at least four scales, at least two of them distinct: with one
+    distinct scale the regression has no slope."""
     scales = sorted(scales, reverse=True)
     if len(scales) < 4:
         raise ParameterError("need at least four scales")
+    if len(set(scales)) < 2:
+        raise ParameterError("need at least two distinct scales")
     counts = [(d, box_count(A, d)) for d in scales]
     if any(n == 0 for _, n in counts):
         raise ParameterError("empty set has no box dimension")

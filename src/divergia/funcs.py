@@ -91,9 +91,8 @@ class PiecewiseLinear:
             return self.ys[-1]
         if x == self.xs[i - 1]:
             return self.ys[i - 1]
-        x0, x1 = self.xs[i - 1], self.xs[i]
-        y0, y1 = self.ys[i - 1], self.ys[i]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        return _interpolate(x, self.xs[i - 1], self.xs[i],
+                            self.ys[i - 1], self.ys[i])
 
     def min_value(self):
         return min(self.ys)
@@ -104,9 +103,10 @@ class PiecewiseLinear:
     # -- arithmetic -----------------------------------------------------
 
     def add(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
-        require_same_domain(self, other)
-        xs = sorted(set(self.xs) | set(other.xs))
-        ys = [self.eval(x) + other.eval(x) for x in xs]
+        xs, ys = [], []
+        for x, a, b in _merge(self, other):
+            xs.append(x)
+            ys.append(a + b)
         return PiecewiseLinear(xs, ys)
 
     def scale(self, c) -> "PiecewiseLinear":
@@ -141,6 +141,56 @@ class PiecewiseLinear:
     def from_json(cls, doc: dict) -> "PiecewiseLinear":
         return cls.from_knots(
             [(parse_scalar(x), parse_scalar(y)) for x, y in doc["knots"]])
+
+
+_EXACT_TYPES = frozenset((int, Fraction))
+_SCALAR_TYPES = _EXACT_TYPES | {float}
+
+
+def _interpolate(x, x0, x1, y0, y1):
+    """Value at x, x0 <= x <= x1, of the segment from (x0, y0) to (x1, y1):
+    exactly what ``y0 + (y1 - y0) * (x - x0) / (x1 - x0)`` gives, type and
+    sign of zero included."""
+    if y0 != y1:
+        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+    # flat segment: skip the arithmetic, not its type.  A float operand
+    # makes the formula y0 + 0.0 (so -0.0 becomes 0.0), and a Fraction
+    # with no float makes it a Fraction equal to y0; all-int operands give
+    # a float through int / int, so they, and any other type, take the
+    # formula.
+    kinds = {type(y0), type(y1), type(x), type(x0), type(x1)}
+    if float in kinds and kinds <= _SCALAR_TYPES:
+        return y0 + 0.0
+    if Fraction in kinds and kinds <= _EXACT_TYPES:
+        return y0 if type(y0) is Fraction else Fraction(y0)
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _merge(f: PiecewiseLinear, g: PiecewiseLinear):
+    """Yield (x, f(x), g(x)) at every knot of f or g, in increasing order.
+
+    One walk over both knot tuples: a shared knot takes both stored values
+    (and f's abscissa, should the two differ in type); elsewhere only the
+    other function's current segment is interpolated.  The values are those
+    ``eval`` gives, without a bisect per knot.
+    """
+    require_same_domain(f, g)
+    fx, fy, gx, gy = f.xs, f.ys, g.xs, g.ys
+    i = j = 0
+    # equal domains: both walks start together and end on the same knot.
+    # a < b is tested first: in a fold the running sum f holds most knots.
+    while i < len(fx):
+        a, b = fx[i], gx[j]
+        if a < b:
+            yield a, fy[i], _interpolate(a, gx[j - 1], b, gy[j - 1], gy[j])
+            i += 1
+        elif b < a:
+            yield b, _interpolate(b, fx[i - 1], a, fy[i - 1], fy[i]), gy[j]
+            j += 1
+        else:
+            yield a, fy[i], gy[j]
+            i += 1
+            j += 1
 
 
 # ----------------------------------------------------------------------
@@ -319,21 +369,19 @@ class MonotoneReport:
         return self.ok
 
 
-def monotone_check(fam: FunctionFamily, n_max: int, grid=None,
+def monotone_check(fam: FunctionFamily, n_max: int,
                    tol: float = TOL) -> MonotoneReport:
     """Verify rule(n+1) >= rule(n) - tol for all n up to n_max.
 
-    Piecewise-linear functions are compared exactly at merged knot sets
-    (plus any extra grid points), never by sampling alone.
+    The difference of two piecewise-linear functions takes its extremes at
+    their knots, so rule(n) and rule(n+1) are compared exactly at every
+    knot of either, in one merged walk; no grid or sampling is involved.
     """
     if n_max < fam.min_index + 1:
         raise ParameterError("n_max must allow at least one comparison")
-    extra = list(grid) if grid is not None else []
     for n in range(fam.min_index, n_max):
-        f, g = fam.rule(n), fam.rule(n + 1)
-        xs = sorted(set(f.xs) | set(g.xs) | set(extra))
-        for x in xs:
-            d = g.eval(x) - f.eval(x)
+        for x, a, b in _merge(fam.rule(n), fam.rule(n + 1)):
+            d = b - a
             if d < -tol:
                 return MonotoneReport(False, n_checked=n,
                                       first_violation=(n, x, d))
@@ -380,7 +428,7 @@ def tietze_family(nested, tag="nest-partial-sums") -> FunctionFamily:
                 x0, y0 = x1, y1
             # interpolated even at a knot, so that the value takes the
             # backend of x (a knot value 1 at a domain endpoint is int)
-            return k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+            return k + _interpolate(x, x0, x1, y0, y1)
 
     step_bound = None
     if hasattr(nested, "measure_level"):

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .errors import ParameterError, require_same_domain
 from .funcs import (FunctionFamily, MonotoneReport, PiecewiseLinear,
-                    constant_family, tietze_family)
+                    _merge, constant_family, tietze_family)
 from .ifs import CantorParams, cantor_nest
 from .intervals import IntervalUnion
 from .jarnik import LiouvilleParams, liouville_family
@@ -74,15 +74,18 @@ def product_family(f: FunctionFamily, g: FunctionFamily,
 
     def rule(n):
         pf, pg = f.rule(n), g.rule(n)
-        base = sorted(set(pf.xs) | set(pg.xs))
-        xs = []
-        for a, b in zip(base, base[1:]):
-            xs.append(a)
-            xs.append(a + (b - a) / 2)
-        xs.append(base[-1])
-        ys = [pf.eval(x) * pg.eval(x) for x in xs]
-        err = max((abs(pf.eval(b) - pf.eval(a)) * abs(pg.eval(b) - pg.eval(a))
-                   / 4 for a, b in zip(base, base[1:])), default=0)
+        base = list(_merge(pf, pg))
+        xs, ys = [], []
+        for (a, fa, ga), (b, _, _) in zip(base, base[1:]):
+            mid = a + (b - a) / 2
+            xs += (a, mid)
+            ys += (fa * ga, pf.eval(mid) * pg.eval(mid))
+        x, fx, gx = base[-1]
+        xs.append(x)
+        ys.append(fx * gx)
+        err = max((abs(fb - fa) * abs(gb - ga) / 4
+                   for (_, fa, ga), (_, fb, gb) in zip(base, base[1:])),
+                  default=0)
         info[("interp_error", n)] = err
         return PiecewiseLinear(xs, ys)
 

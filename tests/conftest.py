@@ -15,8 +15,13 @@ settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")
-def piecewise_linear_schema():
-    path = Path(__file__).resolve().parents[1] / "schemas" / \
-        "piecewise_linear.schema.json"
-    with open(path) as fh:
-        return json.load(fh)
+def schemas():
+    """Every schema under ``schemas/``, by name (``interval_union``, ...)."""
+    root = Path(__file__).resolve().parents[1] / "schemas"
+    return {path.name.split(".")[0]: json.loads(path.read_text())
+            for path in root.glob("*.schema.json")}
+
+
+@pytest.fixture(scope="session")
+def piecewise_linear_schema(schemas):
+    return schemas["piecewise_linear"]

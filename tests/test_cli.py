@@ -133,10 +133,63 @@ def test_dim_box_counting_from_file(capsys, tmp_path):
     assert 0.4 < doc["estimate"] < 0.6
 
 
+def test_dim_one_distinct_scale_is_a_parameter_error(capsys, tmp_path):
+    from fractions import Fraction
+
+    from divergia import CantorParams, cantor_nest
+    A = cantor_nest(CantorParams(Fraction(1, 2))).level(4)
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(A.to_json()))
+    code, out, err = run(capsys, "dim", "--input", str(path),
+                         "--scales", "1/4,1/4,1/4,1/4")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "parameter"
+
+
 def test_dim_requires_source(capsys):
     code, out, err = run(capsys, "dim")
     assert code == 2
     assert json.loads(err)["error"] == "parameter"
+
+
+def _schema_parts(doc, schema):
+    """The parts of a CLI document that ``schema`` describes."""
+    if schema == "interval_union":
+        return list(doc["levels"].values())
+    if schema == "piecewise_linear":
+        return [{"knots": doc["knots"]}]
+    return [doc]
+
+
+# the `dim --moran` and `qam` documents are scalar echoes with no schema
+@pytest.mark.parametrize("argv, schema", [
+    ("cantor --theta 1/2 --levels 3", "interval_union"),
+    ("cantor --theta 0.4 --backend float --levels 3", "interval_union"),
+    ("jarnik --theta 1/2 --n 4", "piecewise_linear"),
+    ("liouville --n 4", "piecewise_linear"),
+    ("check --family cantor-tietze --theta 1/2 --M 3 --N 6",
+     "max_family_report"),
+    ("check --family jarnik --theta 1/2 --M 3 --N 6", "max_family_report"),
+    ("check --family liouville --M 3 --N 6", "max_family_report"),
+    ("check --family anydh --theta 1/2 --M 3 --N 6", "max_family_report"),
+    ("anydh --theta 1/3 --M 3 --N 6", "max_family_report"),
+    ("iset --family cantor-tietze --theta 1/2 --M 3 --N 6",
+     "divergence_estimate"),
+    ("dim --input {set} --scales 1/16,1/32,1/64,1/128",
+     "dimension_estimate"),
+])
+def test_document_conforms_to_schema(capsys, tmp_path, schemas, argv,
+                                     schema):
+    from fractions import Fraction
+
+    from divergia import CantorParams, cantor_nest
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(
+        cantor_nest(CantorParams(Fraction(1, 2))).level(6).to_json()))
+    code, out, _ = run(capsys, *argv.format(set=path).split())
+    assert code == 0
+    for part in _schema_parts(json.loads(out), schema):
+        jsonschema.validate(part, schemas[schema])
 
 
 def test_qam_mean(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from divergia import dimension
 from divergia import (CantorParams, IntervalUnion, ParameterError, box_count,
                       box_dimension, cantor_nest, moran_dimension)
 
@@ -103,6 +104,22 @@ def test_box_dimension_of_point_is_zero():
 def test_box_dimension_requires_enough_scales():
     with pytest.raises(ParameterError):
         box_dimension(IntervalUnion.full(DOMAIN), [0.5, 0.25, 0.125])
+
+
+@pytest.mark.parametrize("scales", [
+    [Fraction(1, 4)] * 4,
+    [0.25, Fraction(1, 4), 0.25, Fraction(1, 4)],
+], ids=["one-scale", "one-scale-two-types"])
+def test_box_dimension_needs_two_distinct_scales(scales, monkeypatch):
+    # one distinct scale leaves the regression without a slope; the
+    # refusal comes before any box is counted
+    def refuse(A, delta):
+        raise AssertionError("box counted")
+
+    monkeypatch.setattr(dimension, "box_count", refuse)
+    A = cantor_nest(CantorParams(Fraction(1, 2))).level(4)
+    with pytest.raises(ParameterError, match="distinct"):
+        box_dimension(A, scales)
 
 
 def test_box_dimension_rejects_empty_set():

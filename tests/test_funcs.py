@@ -1,3 +1,4 @@
+import bisect
 import random
 import sys
 import threading
@@ -9,11 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from divergia import (CantorNest, CantorParams, ConstructionError,
-                      DomainMismatchError, IntervalUnion, JarnikParams,
-                      LiouvilleParams, ParameterError, PiecewiseLinear,
+                      DomainMismatchError, FunctionFamily, IntervalUnion,
+                      JarnikParams, LiouvilleParams, MonotoneReport,
+                      ParameterError, PiecewiseLinear,
                       bump_from_sets, cantor_nest, constant_family,
                       jarnik_family, liouville_family, monotone_check,
                       sum_family, tietze_family)
+from divergia.scalars import TOL
 
 DOMAIN = (0, 1)
 
@@ -107,6 +110,104 @@ def test_json_round_trip():
 def test_tent_bounds(x):
     f = PiecewiseLinear((0, Fraction(1, 2), 1), (0, 1, 0))
     assert 0 <= f.eval(x) <= 1
+
+
+# ----------------------------------------------------------------------
+# one-pass knot merge against the sorted-union reference
+# ----------------------------------------------------------------------
+
+def _reference_eval(f, x):
+    """``eval`` before the merge: a bisect and the interpolation formula."""
+    i = bisect.bisect_right(f.xs, x)
+    if i == len(f.xs):
+        return f.ys[-1]
+    if x == f.xs[i - 1]:
+        return f.ys[i - 1]
+    x0, x1, y0, y1 = f.xs[i - 1], f.xs[i], f.ys[i - 1], f.ys[i]
+    return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+
+
+def _reference_add(f, g):
+    xs = sorted(set(f.xs) | set(g.xs))
+    return PiecewiseLinear(
+        xs, [_reference_eval(f, x) + _reference_eval(g, x) for x in xs])
+
+
+def _reference_monotone_check(fam, n_max, tol=TOL):
+    for n in range(fam.min_index, n_max):
+        f, g = fam.rule(n), fam.rule(n + 1)
+        for x in sorted(set(f.xs) | set(g.xs)):
+            d = _reference_eval(g, x) - _reference_eval(f, x)
+            if d < -tol:
+                return MonotoneReport(False, n_checked=n,
+                                      first_violation=(n, x, d))
+    return MonotoneReport(True, n_checked=n_max)
+
+
+def _signature(f):
+    # repr tells 0, Fraction(0, 1) and 0.0 apart, and 0.0 from -0.0
+    return [(type(v), repr(v)) for v in f.xs + f.ys]
+
+
+@st.composite
+def mixed_pl(draw, nonnegative=False):
+    """A function on [0, 4] whose knots and values are exact, float, int or
+    a mix of the three, with flat segments, signed float zeros and knots
+    that other draws share (possibly in another type)."""
+    kind = draw(st.sampled_from(("exact", "float", "int", "mixed")))
+
+    def scalar(r):
+        k = draw(st.sampled_from(("exact", "float", "int"))) \
+            if kind == "mixed" else kind
+        if k == "float":
+            return -float(r) if r == 0 and draw(st.booleans()) else float(r)
+        if r.denominator == 1 and (k == "int" or draw(st.booleans())):
+            return int(r)
+        return Fraction(r)
+
+    den = 1 if kind == "int" else 6
+    cuts = draw(st.sets(st.integers(1, 4 * den - 1), max_size=6))
+    xs = [scalar(Fraction(c, den)) for c in [0, *sorted(cuts), 4 * den]]
+    low = 0 if nonnegative else -8
+    ys = []
+    for _ in xs:
+        if ys and draw(st.booleans()):
+            r = Fraction(ys[-1])  # a flat segment, perhaps in another type
+        else:
+            r = Fraction(draw(st.integers(low, 8)), 1 if kind == "int" else 4)
+        ys.append(scalar(r))
+    return PiecewiseLinear(xs, ys)
+
+
+@given(mixed_pl(), mixed_pl())
+def test_add_and_sub_match_sorted_union_reference(f, g):
+    assert _signature(f.add(g)) == _signature(_reference_add(f, g))
+    assert _signature(f.sub(g)) == \
+        _signature(_reference_add(f, g.scale(-1)))
+
+
+@given(mixed_pl(), st.lists(st.booleans().flatmap(
+    lambda nonneg: mixed_pl(nonnegative=nonneg)), min_size=1, max_size=3))
+def test_monotone_check_matches_sorted_union_reference(base, steps):
+    rules = [base]
+    for step in steps:
+        rules.append(rules[-1].add(step))
+    fam = FunctionFamily((0, 4), lambda n: rules[n - 1],
+                         max_index=len(rules))
+    assert repr(monotone_check(fam, len(rules))) == \
+        repr(_reference_monotone_check(fam, len(rules)))
+
+
+def test_merge_calls_no_eval(monkeypatch):
+    def refuse(self, x):
+        raise AssertionError("eval called at a merged knot")
+
+    monkeypatch.setattr(PiecewiseLinear, "eval", refuse)
+    jarnik = jarnik_family(JarnikParams(Fraction(1, 2), q_max=10))
+    f = jarnik.rule(10)
+    assert f.add(f).ys == tuple(2 * y for y in f.ys)
+    tietze = tietze_family(cantor_nest(CantorParams(Fraction(1, 2))))
+    assert monotone_check(tietze, 5).ok
 
 
 # ----------------------------------------------------------------------
