@@ -75,9 +75,6 @@ class PiecewiseLinear:
         return all(is_exact(v) for v in self.xs) and \
             all(is_exact(v) for v in self.ys)
 
-    def knots(self):
-        return list(zip(self.xs, self.ys))
-
     # -- evaluation -----------------------------------------------------
 
     def __call__(self, x):
@@ -373,15 +370,16 @@ def monotone_check(fam: FunctionFamily, n_max: int,
                    tol: float = TOL) -> MonotoneReport:
     """Verify rule(n+1) >= rule(n) - tol for all n up to n_max.
 
-    The difference of two piecewise-linear functions takes its extremes at
-    their knots, so rule(n) and rule(n+1) are compared exactly at every
-    knot of either, in one merged walk; no grid or sampling is involved.
+    rule(n+1) - rule(n) is the memoized ``increment(n+1)``, and a
+    piecewise-linear function takes its minimum at a knot, so each
+    increment is read at its knots in order and the first value below -tol
+    is reported; no partial sum is built and no grid is sampled.  At
+    n_max = min_index there is nothing to compare, and the check passes.
     """
-    if n_max < fam.min_index + 1:
-        raise ParameterError("n_max must allow at least one comparison")
+    fam._check(n_max)
     for n in range(fam.min_index, n_max):
-        for x, a, b in _merge(fam.rule(n), fam.rule(n + 1)):
-            d = b - a
+        inc = fam.increment(n + 1)
+        for x, d in zip(inc.xs, inc.ys):
             if d < -tol:
                 return MonotoneReport(False, n_checked=n,
                                       first_violation=(n, x, d))
@@ -404,11 +402,10 @@ def tietze_family(nested, tag="nest-partial-sums") -> FunctionFamily:
 
     def delta(i):
         outer, inner = nested(i), nested(i + 1)
-        if not inner.subset_of_relative_interior(outer):
-            raise ConstructionError(
-                f"nesting violated at level {i}: level {i + 1} is "
-                f"not inside the relative interior of level {i}")
-        return bump_from_sets(outer, inner)
+        try:
+            return bump_from_sets(outer, inner)
+        except ConstructionError as err:
+            raise ConstructionError(f"level {i}: {err}") from err
 
     value = None
     if hasattr(nested, "deepest_component"):

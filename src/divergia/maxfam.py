@@ -18,11 +18,11 @@ from typing import Optional
 
 from .errors import ParameterError, require_same_domain
 from .funcs import (FunctionFamily, MonotoneReport, PiecewiseLinear,
-                    _merge, constant_family, tietze_family)
+                    _merge, constant_family, monotone_check, tietze_family)
 from .ifs import CantorParams, cantor_nest
 from .intervals import IntervalUnion
 from .jarnik import LiouvilleParams, liouville_family
-from .scalars import TOL, format_scalar, is_exact
+from .scalars import format_scalar, is_exact
 
 
 # ----------------------------------------------------------------------
@@ -77,9 +77,13 @@ def product_family(f: FunctionFamily, g: FunctionFamily,
         base = list(_merge(pf, pg))
         xs, ys = [], []
         for (a, fa, ga), (b, _, _) in zip(base, base[1:]):
+            xs.append(a)
+            ys.append(fa * ga)
+            # knots closer than float resolution have no midpoint between
             mid = a + (b - a) / 2
-            xs += (a, mid)
-            ys += (fa * ga, pf.eval(mid) * pg.eval(mid))
+            if a < mid < b:
+                xs.append(mid)
+                ys.append(pf.eval(mid) * pg.eval(mid))
         x, fx, gx = base[-1]
         xs.append(x)
         ys.append(fx * gx)
@@ -253,15 +257,6 @@ class MaxFamilyReport:
         }
 
 
-def _default_subintervals(domain):
-    lo, hi = domain
-    exact = is_exact(lo) and is_exact(hi)
-    cuts = [lo + (hi - lo) * Fraction(k, 10) for k in range(11)]
-    if not exact:
-        cuts = [float(c) for c in cuts]
-    return list(zip(cuts, cuts[1:]))
-
-
 def max_family_check(fam: FunctionFamily, M=10, n_max=30,
                      subintervals=None) -> MaxFamilyReport:
     """Per-subinterval search for the smallest n whose integral exceeds M,
@@ -270,7 +265,8 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
     if n_max < fam.min_index:
         raise ParameterError(f"n_max must be >= {fam.min_index}")
     if subintervals is None:
-        subintervals = _default_subintervals(fam.domain)
+        cuts = default_grid(fam.domain, points=10, q_max=1)
+        subintervals = list(zip(cuts, cuts[1:]))
         grid_note = "ten equal subintervals of the domain"
     else:
         subintervals = [tuple(s) for s in subintervals]
@@ -311,18 +307,8 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
                                    certified_not_reached=certified,
                                    integrals=tuple(column)))
 
-    # the scan touched every increment up to the deepest index
-    violation = None
-    for n in range(fam.min_index + 1, deepest + 1):
-        inc = fam.increment(n)
-        low = inc.min_value()
-        if low < -TOL:
-            violation = (n - 1, inc.xs[inc.ys.index(low)], low)
-            break
-    monotone = MonotoneReport(
-        violation is None,
-        n_checked=deepest if violation is None else violation[0],
-        first_violation=violation)
+    # the scan memoized every increment up to the deepest index
+    monotone = monotone_check(fam, deepest)
 
     return MaxFamilyReport(monotone=monotone, rows=tuple(rows), M=M,
                            n_max=n_max, tag=fam.tag, grid_note=grid_note)

@@ -364,6 +364,20 @@ def test_monotone_check_passes_and_fails():
     down = constant_family(DOMAIN, lambda n: -n)
     rep = monotone_check(down, 5)
     assert not rep.ok and rep.first_violation is not None
+    # no comparison to make: vacuously nondecreasing at the first index
+    assert monotone_check(up, up.min_index) == \
+        MonotoneReport(True, n_checked=up.min_index)
+    with pytest.raises(ParameterError):
+        monotone_check(up, up.min_index - 1)
+
+
+def test_monotone_check_scans_increments_only(monkeypatch):
+    def refuse(self, n):
+        raise AssertionError("monotone_check folded a partial sum")
+
+    fam = tietze_family(cantor_nest(CantorParams(Fraction(1, 2))))
+    monkeypatch.setattr(FunctionFamily, "_fold", refuse)
+    assert monotone_check(fam, 6) == MonotoneReport(True, n_checked=6)
 
 
 # ----------------------------------------------------------------------
@@ -442,13 +456,22 @@ def test_step_bound_dominates_increment_integral(nest_family):
         assert float(inc.integral(0, 1)) <= fam.step_bound(n) + 1e-12
 
 
-def test_nesting_violation_reported():
+def test_nesting_violation_reported(monkeypatch):
     levels = {
         0: IntervalUnion.full(DOMAIN),
         1: _iu([(Fraction(1, 4), Fraction(1, 2))]),
         2: _iu([(Fraction(3, 8), Fraction(5, 8))]),  # escapes level 1
     }
+    calls = []
+    check = IntervalUnion.subset_of_relative_interior
+
+    def counted(self, other):
+        calls.append(other)
+        return check(self, other)
+
+    monkeypatch.setattr(IntervalUnion, "subset_of_relative_interior", counted)
     fam = tietze_family(levels.__getitem__)
     fam.rule(0)
-    with pytest.raises(ConstructionError):
+    assert len(calls) == 1  # one nesting check per bump
+    with pytest.raises(ConstructionError, match="level 1"):
         fam.rule(2)

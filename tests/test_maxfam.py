@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 
-from divergia import (CantorParams, DomainMismatchError, IntervalUnion,
-                      LiouvilleParams, ParameterError, PiecewiseLinear,
-                      anydh_family, cantor_nest, constant_family,
-                      default_grid, divergence_estimate, liouville_family,
-                      max_family_check, product_family, sum_family,
-                      superlevel_set, tietze_family)
+from divergia import (CantorParams, DomainMismatchError, FunctionFamily,
+                      IntervalUnion, LiouvilleParams, ParameterError,
+                      PiecewiseLinear, anydh_family, cantor_nest,
+                      constant_family, default_grid, divergence_estimate,
+                      liouville_family, max_family_check, monotone_check,
+                      product_family, sum_family, superlevel_set,
+                      tietze_family)
 
 DOMAIN = (0, 1)
 HALF = Fraction(1, 2)
@@ -60,6 +61,22 @@ def test_product_family_interpolation_error_tracked():
     assert p.info[("interp_error", 2)] >= 0
     # constant times piecewise linear stays exact despite interpolation
     assert r.eval(Fraction(1, 4)) == 1
+
+
+def test_product_family_knots_below_float_resolution():
+    # an exact knot and its float rounding merge into two knots whose float
+    # midpoint rounds onto one of them; no midpoint goes between them
+    exact = PiecewiseLinear((0, Fraction(1, 3), 1), (0, 1, 0))
+    rounded = PiecewiseLinear((0, 1 / 3, 1), (0, 1, 0))
+    f = FunctionFamily(DOMAIN, lambda n: exact, max_index=1)
+    g = FunctionFamily(DOMAIN, lambda n: rounded, max_index=1)
+    p = product_family(f, g)
+    r = p.rule(1)
+    assert 1 / 3 in r.xs and Fraction(1, 3) in r.xs
+    assert r.xs.index(Fraction(1, 3)) == r.xs.index(1 / 3) + 1
+    for x in r.xs:
+        assert abs(r.eval(x) - exact.eval(x) * rounded.eval(x)) <= \
+            p.info[("interp_error", 1)] + 1e-12
 
 
 def test_product_family_proviso_warning():
@@ -162,6 +179,16 @@ def test_monotone_violation_detected():
     fam = constant_family(DOMAIN, lambda n: -n, tag="-n")
     rep = max_family_check(fam, M=1, n_max=5)
     assert not rep.monotone.ok
+
+
+def test_max_family_check_monotone_is_monotone_check():
+    # the report names the first increment knot below -tol, not the argmin
+    fam = FunctionFamily(
+        DOMAIN, lambda n: PiecewiseLinear((0, 1), (-n, -2 * n)))
+    rep = max_family_check(fam, M=1, n_max=5)
+    deepest = max(n for row in rep.rows for n, _ in row.integrals)
+    assert rep.monotone == monotone_check(fam, deepest)
+    assert rep.monotone.first_violation == (1, 0, -1)
 
 
 def test_report_json_shape(tz):
