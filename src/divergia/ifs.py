@@ -120,14 +120,29 @@ class CantorNest:
     two children) by one descent of the binary address of the point
     through at most n levels; level n is never built for that, so a
     pointwise value at index n costs one descent of n levels.
+
+    On an exact nest (theta = 1/k, so m = 2^-k) the descent runs on
+    integers: with x = X/D over D = den(x) den(eps), the inverse maps
+    x/m - eps and (1 - x)/m - eps take the numerator X to (X << k) - E and
+    ((D - X) << k) - E, where E = eps D, and x stays in the nest for one
+    more level exactly while one of them lies in [0, D].  Only the exit
+    level's component and its two children are built, once, from the
+    depth, the orientation and the last numerator.  A float nest walks
+    the composed similarities instead.
     """
 
     def __init__(self, params: CantorParams):
         self.params = params
+        # CantorParams derives m, and so exact and domain, on every access
+        self._m, self._exact = params.m, params.exact
+        self._domain = params.domain
         self.left, self.right = cantor_maps(params)
-        self._levels = {0: IntervalUnion.full(params.domain,
-                                              exact=params.exact)}
+        self._levels = {0: IntervalUnion.full(self._domain,
+                                              exact=self._exact)}
         self._lock = threading.Lock()
+        if self._exact:
+            self._shift = self._m.denominator.bit_length() - 1
+            self._eps = (params.eps.numerator, params.eps.denominator)
 
     def __call__(self, n: int) -> IntervalUnion:
         return self.level(n)
@@ -145,11 +160,11 @@ class CantorNest:
 
     def measure_level(self, n: int):
         """Exact level measure: (2m)^n."""
-        return (2 * self.params.m) ** n
+        return (2 * self._m) ** n
 
     def fixed_point_left(self):
         """Fixed point of the left map, m*eps/(1-m); lies in every level."""
-        m = self.params.m
+        m = self._m
         return m * self.params.eps / (1 - m)
 
     def _children(self, ratio, offset):
@@ -169,10 +184,51 @@ class CantorNest:
         level k + 1; one descent of the address of x through k levels."""
         if n < 0:
             raise ParameterError("level index must be >= 0")
-        lo, hi = self.params.domain
+        lo, hi = self._domain
         if not lo <= x <= hi:
             raise ParameterError(f"{x} outside domain")
-        ratio, offset = (1, 0) if self.params.exact else (1.0, 0.0)
+        if not self._exact:
+            return self._walk(n, x)
+        x = Fraction(x)
+        e_num, e_den = self._eps
+        D, E = x.denominator * e_den, x.denominator * e_num
+        X = X0 = x.numerator * e_den
+        k = self._shift
+        sign = 1
+        for j in range(n):
+            Y = (X << k) - E
+            if not 0 <= Y <= D:
+                Y = ((D - X) << k) - E
+                if not 0 <= Y <= D:
+                    return self._rebuild(j, sign, X0, X, D, E)
+                sign = -sign
+            X = Y
+        return self._rebuild(n, sign, X0, X, D, E)
+
+    def _rebuild(self, j, sign, X0, X, D, E):
+        """(j, component, children) from the descent's state at level j.
+
+        The level-j component is the image of [0, 1] under y -> t + c*y
+        with c = sign * m^j, and it sends X/D to x = X0/D.  In units of
+        1/S, S = D 2^(k(j+1)), the component is [B, B + P] with P = D 2^k,
+        and its children, the images of [m eps, m(1 + eps)] and of its
+        reflection, are [B + E, B + D + E] and [B + P - D - E, B + P - E].
+        """
+        k = self._shift
+        P, S = D << k, D << (k * (j + 1))
+        B = (X0 << (k * (j + 1))) - sign * (X << k)
+        if sign < 0:
+            B -= P
+        children = [(Fraction(B + E, S), Fraction(B + D + E, S)),
+                    (Fraction(B + P - D - E, S), Fraction(B + P - E, S))]
+        if j == 0:
+            return 0, self._domain, children
+        return j, (Fraction(B, S), Fraction(B + P, S)), children
+
+    def _walk(self, n, x):
+        # the descent of deepest_component through composed similarities
+        lo, hi = self._domain
+        ratio, offset = 1.0, 0.0
         interval = (lo, hi)
         children = self._children(ratio, offset)
         for k in range(n):

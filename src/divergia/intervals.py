@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParameterError, require_same_domain
 from .scalars import TOL, format_scalar, is_exact, parse_scalar
@@ -82,8 +83,14 @@ class IntervalUnion:
         """Total length of all components (0 for the empty set)."""
         return sum((b - a for a, b in self.components), 0)
 
+    @cached_property
+    def _starts(self):
+        """Left endpoints of the components, built at the first point
+        query and kept, so that each query is one bisection."""
+        return [a for a, _ in self.components]
+
     def contains_point(self, x) -> bool:
-        i = bisect.bisect_right([a for a, _ in self.components], x)
+        i = bisect.bisect_right(self._starts, x)
         if i == 0:
             return False
         a, b = self.components[i - 1]
@@ -94,7 +101,7 @@ class IntervalUnion:
         if not self.components:
             return float("inf")
         best = None
-        i = bisect.bisect_right([a for a, _ in self.components], x)
+        i = bisect.bisect_right(self._starts, x)
         for j in (i - 1, i):
             if 0 <= j < len(self.components):
                 a, b = self.components[j]
@@ -143,9 +150,8 @@ class IntervalUnion:
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         require_same_domain(self, other)
-        starts = [a for a, _ in other.components]
         for a, b in self.components:
-            i = bisect.bisect_right(starts, a)
+            i = bisect.bisect_right(other._starts, a)
             if i == 0:
                 return False
             c, d = other.components[i - 1]
@@ -161,9 +167,8 @@ class IntervalUnion:
         require_same_domain(self, other)
         lo, hi = self.domain
         tol = 0 if (self.exact and other.exact) else TOL
-        starts = [a for a, _ in other.components]
         for a, b in self.components:
-            i = bisect.bisect_right(starts, a)
+            i = bisect.bisect_right(other._starts, a)
             if i == 0:
                 return False
             c, d = other.components[i - 1]

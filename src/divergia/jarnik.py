@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParameterError
-from .funcs import FunctionFamily, bump_from_sets
+from .funcs import _EXACT_TYPES, FunctionFamily, bump_from_sets
 from .intervals import IntervalUnion
 
 _DOMAIN = (0, 1)
@@ -86,41 +86,87 @@ class JarnikParams:
         return int(a) if a.is_integer() else a
 
 
-def _bump_value_at(x, q, r_core, r_support, height=1):
-    """Pointwise value of one level's bump sum without materializing it.
+def _level_reader(q, r_core, r_support, height=1):
+    """The function x -> value at x of level q's bump sum, which is
+    ``height`` within r_core of the nearest centre p/q, 0 from r_support on
+    and linear between, with the level's constants worked out once; None
+    where the supports of neighbouring centres partially merge, so that
+    the level has to be materialized.
 
     Valid because for the radii in use, supports of distinct centers only
-    overlap when the cores already cover the whole interval.
+    overlap when the cores already cover the whole interval.  With exact
+    radii an exact x = a/b is read on integers: p = round(a q / b), half
+    to even as ``Fraction.__round__`` does, and |x - p/q| = e/(b q) with
+    e = |a q - p b| is compared with the radii by cross-multiplying, so a
+    Fraction is built only on a ramp.
     """
-    spacing = Fraction(1, q) if isinstance(r_support, Fraction) else 1 / q
+    exact = isinstance(r_support, Fraction)
+    spacing = Fraction(1, q) if exact else 1 / q
     if 2 * r_core >= spacing:
-        return height
+        return lambda x: height
     if 2 * r_support >= spacing:
+        return None
+    span = r_support - r_core
+    if exact:
+        core_num, core_den = r_core.numerator, r_core.denominator
+        sup_num, sup_den = r_support.numerator, r_support.denominator
+
+    def read(x):
+        if exact and type(x) in _EXACT_TYPES:
+            a, b = x.numerator, x.denominator
+            aq, bq = a * q, b * q
+            p, rem = divmod(aq, b)
+            if 2 * rem > b or (2 * rem == b and p & 1):
+                p += 1
+            p = min(max(p, 0), q)
+            e = abs(aq - p * b)
+            if e * core_den <= core_num * bq:
+                return height
+            if e * sup_den >= sup_num * bq:
+                return 0
+            return height * (r_support - Fraction(e, bq)) / span
+        p = min(max(round(x * q), 0), q)
+        d = abs(x - (Fraction(p, q) if exact else p / q))
+        if d <= r_core:
+            return height
+        if d >= r_support:
+            return 0
+        return height * (r_support - d) / span
+
+    return read
+
+
+def _bump_value_at(x, q, r_core, r_support, height=1):
+    """Pointwise value of one level's bump sum without materializing it."""
+    read = _level_reader(q, r_core, r_support, height)
+    if read is None:
         raise ParameterError(
             "partially merged supports need materialized evaluation")
-    p = round(x * q)
-    p = min(max(p, 0), q)
-    c = Fraction(p, q) if isinstance(r_support, Fraction) else p / q
-    d = abs(x - c)
-    if d <= r_core:
-        return height
-    if d >= r_support:
-        return 0
-    return height * (r_support - d) / (r_support - r_core)
+    return read(x)
 
 
-def _level_sums(fam, pointwise, n, x):
-    """Pointwise value at index n of ``fam``, whose q-th increment is the
-    bump sum of level q: ``pointwise(q, x)`` evaluates level q without
-    materializing it and raises ParameterError where it cannot, in which
-    case the memoized increment of the family is evaluated."""
-    total = 0
-    for q in range(1, n + 1):
-        try:
-            total += pointwise(q, x)
-        except ParameterError:
-            total += fam.increment(q).eval(x)
-    return total
+def _level_sums(constants):
+    """Pointwise value(fam, n, x) of a family ``fam`` whose q-th increment
+    is the bump sum of level q, with ``constants(q)`` = (r_core, r_support,
+    height).  Each level's reader is made once per family, under the
+    family's lock; a level whose supports partially merge reads the
+    family's memoized increment instead."""
+    readers = {}
+
+    def reader(fam, q):
+        with fam._lock:
+            if q not in readers:
+                readers[q] = _level_reader(q, *constants(q)) \
+                    or fam.increment(q).eval
+            return readers[q]
+
+    def value(fam, n, x):
+        total = 0
+        for q in range(1, n + 1):
+            total += (readers.get(q) or reader(fam, q))(x)
+        return total
+
+    return value
 
 
 def jarnik_family(params: JarnikParams) -> FunctionFamily:
@@ -131,8 +177,7 @@ def jarnik_family(params: JarnikParams) -> FunctionFamily:
     def fat_radius(q):
         return _radius(q, alpha, extra_num=q + 1, extra_den=q)
 
-    def pointwise(q, x):
-        return _bump_value_at(x, q, _radius(q, alpha), fat_radius(q))
+    sums = _level_sums(lambda q: (_radius(q, alpha), fat_radius(q), 1))
 
     def step_bound(q):
         return min(1.0, float(2 * (q + 1) * fat_radius(q)))
@@ -141,7 +186,7 @@ def jarnik_family(params: JarnikParams) -> FunctionFamily:
         _DOMAIN, tag=f"jarnik(alpha0={alpha})", min_index=1,
         max_index=params.q_max,
         increment=lambda q: bump_from_sets(z_set(q, alpha), y_set(q, alpha)),
-        value=lambda n, x: _level_sums(fam, pointwise, n, x),
+        value=lambda n, x: sums(fam, n, x),
         step_bound=step_bound)
     return fam
 
@@ -186,13 +231,14 @@ def liouville_family(params: LiouvilleParams = None) -> FunctionFamily:
         inner = _centered_set(q, rho / 2)
         return bump_from_sets(outer, inner).scale(params.height(q))
 
-    def pointwise(q, x):
+    def constants(q):
         rho = params.width(q)
-        return _bump_value_at(x, q, rho / 2, rho, height=params.height(q))
+        return rho / 2, rho, params.height(q)
 
+    sums = _level_sums(constants)
     # the levels are float, so points are coerced to float
     fam = FunctionFamily(
         _DOMAIN, tag=f"liouville(q_max={params.q_max})", min_index=1,
         max_index=params.q_max, increment=level,
-        value=lambda n, x: _level_sums(fam, pointwise, n, float(x)))
+        value=lambda n, x: sums(fam, n, float(x)))
     return fam

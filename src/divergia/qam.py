@@ -178,9 +178,10 @@ def qa_mean(F: Generator, a: Sequence, tol: float = 1e-12) -> float:
     """F^{-1} of the arithmetic mean of F-values, by bisection on
     [min(a), max(a)] (strict monotonicity guarantees the bracket).
 
-    For steep exponential generators the common factor e^(c * max(a)) is
-    pulled out of both sides before comparing, so the computation stays
-    finite for rates far beyond overflow.
+    For exponential generators the dominant factor, e^(c * max(a)) when
+    c > 0 and e^(c * min(a)) when c < 0, is pulled out of both sides before
+    comparing, so every scaled term is at most 1 and the computation stays
+    finite for rates of either sign far beyond overflow.
     """
     _check_tuple(F, a)
     lo, hi = min(a), max(a)
@@ -188,7 +189,9 @@ def qa_mean(F: Generator, a: Sequence, tol: float = 1e-12) -> float:
         return float(lo)
 
     base = _unwrap_affine(F)
-    shift = float(hi) if isinstance(base, Exp) else 0.0
+    shift = 0.0
+    if isinstance(base, Exp):
+        shift = float(hi) if base.c > 0 else float(lo)
 
     def feval(x):
         if shift:

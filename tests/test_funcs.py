@@ -437,8 +437,10 @@ def test_value_is_one_descent(monkeypatch):
     nest = cantor_nest(CantorParams(Fraction(1, 2)))
     fam = tietze_family(nest)
     assert fam.value(30, nest.fixed_point_left()) == 31
-    # one call per level of the descent, plus the children at level 30
-    assert len(calls) <= 31
+    assert fam.value(30, Fraction(1, 2)) == Fraction(1, 2)
+    # an exact nest descends on integer numerators and builds only the
+    # exit level's children, not a pair of children per level
+    assert len(calls) <= 2
 
 
 def test_increment_equals_rule_difference(nest_family):

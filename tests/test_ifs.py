@@ -1,7 +1,10 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divergia import (CantorParams, ConstructionError, IntervalUnion,
                       ParameterError, Similarity, apply_ifs, cantor_maps,
@@ -206,3 +209,95 @@ def test_uniform_cantor_inside_nest_with_shrinking_gap():
         U, D = uniform_cantor(p, n), nest.level(n)
         assert U.subset_of(D)
         assert hausdorff_distance(U, D) <= Fraction(1, 4) ** n
+
+
+# ----------------------------------------------------------------------
+# integer descent against the similarity walk
+# ----------------------------------------------------------------------
+
+def reference_children(nest, ratio, offset):
+    """Children of the image of [0, 1] under x -> ratio*x + offset."""
+    out = []
+    for f in (nest.left, nest.right):
+        c, t = ratio * f.ratio, ratio * f.offset + offset
+        a, b = (t, c + t) if c >= 0 else (c + t, t)
+        out.append(((c, t), (a, b)))
+    out.sort(key=lambda item: item[1][0])
+    return out
+
+
+def reference_deepest_component(nest, n, x):
+    """The descent of an exact nest as a walk through the composed
+    Fraction similarities, one pair of children per level."""
+    lo, hi = nest.params.domain
+    ratio, offset = 1, 0
+    interval = (lo, hi)
+    children = reference_children(nest, ratio, offset)
+    for k in range(n):
+        for (c, t), (a, b) in children:
+            if a <= x <= b:
+                ratio, offset, interval = c, t, (a, b)
+                break
+        else:
+            return k, interval, [iv for _, iv in children]
+        children = reference_children(nest, ratio, offset)
+    return n, interval, [iv for _, iv in children]
+
+
+def same(u, v):
+    """Equal values of equal types, through tuples and lists."""
+    if isinstance(u, (tuple, list)):
+        return type(u) is type(v) and len(u) == len(v) and all(
+            same(a, b) for a, b in zip(u, v))
+    return type(u) is type(v) and u == v
+
+
+NEST_KEYS = [(theta, eps)
+             for theta in (HALF, Fraction(1, 3), Fraction(1, 4), Fraction(1, 5))
+             for eps in (None, Fraction(1, 3))]
+
+
+@functools.cache
+def exact_nest(key):
+    """The nest for (theta, eps) with the endpoints and gap midpoints of
+    its levels 1-8."""
+    nest = cantor_nest(CantorParams(*key))
+    marks = []
+    for n in range(1, 9):
+        comps = nest.level(n).components
+        marks += [e for comp in comps for e in comp]
+        marks += [(end + start) / 2
+                  for (_, end), (start, _) in zip(comps, comps[1:])]
+    return nest, marks
+
+
+def nest_points(nest, marks):
+    """Rationals, nest points with drawn addresses and the left fixed
+    point, level 1-8 endpoints and gap midpoints, 0 and 1, and floats."""
+    def at_address(bits):
+        x = nest.fixed_point_left()
+        for bit in reversed(bits):
+            x = (nest.right if bit else nest.left)(x)
+        return x
+
+    exact = st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=10 ** 6),
+        st.lists(st.booleans(), max_size=40).map(at_address),
+        st.sampled_from(marks),
+        st.sampled_from([0, 1]))
+    return st.one_of(exact, exact.map(float),
+                     st.floats(min_value=0, max_value=1))
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_descent_matches_similarity_walk(data):
+    nest, marks = exact_nest(data.draw(st.sampled_from(NEST_KEYS)))
+    x = data.draw(nest_points(nest, marks))
+    n = data.draw(st.integers(min_value=0, max_value=60))
+    want = reference_deepest_component(nest, n, x)
+    assert same(nest.deepest_component(n, x), want)
+    k, interval, children = want
+    pair = (interval, children) if k == n else None
+    assert same(nest.component_and_children(n, x), pair)
+    assert nest.contains(n, x) is (pair is not None)

@@ -1,3 +1,4 @@
+import bisect
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from divergia import IntervalUnion, ParameterError, hausdorff_distance
+from divergia import (CantorParams, IntervalUnion, ParameterError,
+                      cantor_nest, hausdorff_distance, uniform_cantor)
 
 DOMAIN = (0, 1)
 
@@ -168,6 +170,50 @@ def test_hausdorff_gap_midpoint_case():
     assert hausdorff_distance(A, B) == Fraction(1, 4)
 
 
+def reference_hausdorff(A, B):
+    """Hausdorff distance with the starts list rebuilt at every query."""
+    def find(U, x):
+        return bisect.bisect_right([a for a, _ in U.components], x)
+
+    def contains(U, x):
+        i = find(U, x)
+        return i > 0 and U.components[i - 1][0] <= x <= U.components[i - 1][1]
+
+    def distance(U, x):
+        best = None
+        i = find(U, x)
+        for j in (i - 1, i):
+            if 0 <= j < len(U.components):
+                a, b = U.components[j]
+                d = max(a - x, x - b, 0)
+                best = d if best is None else min(best, d)
+        return best
+
+    def directed(src, dst):
+        candidates = [p for comp in src.components for p in comp]
+        for i in range(len(dst.components) - 1):
+            gap_mid = (dst.components[i][1] + dst.components[i + 1][0]) / 2
+            if contains(src, gap_mid):
+                candidates.append(gap_mid)
+        return max(distance(dst, x) for x in candidates)
+
+    return max(directed(A, B), directed(B, A))
+
+
+def assert_same_hausdorff(A, B):
+    got, want = hausdorff_distance(A, B), reference_hausdorff(A, B)
+    assert type(got) is type(want) and got == want
+
+
+def test_hausdorff_matches_reference_on_cantor_levels():
+    for theta in (Fraction(1, 2), Fraction(1, 3), Fraction(1, 4)):
+        params = CantorParams(theta)
+        nest = cantor_nest(params)
+        for n in range(9):
+            assert_same_hausdorff(uniform_cantor(params, n), nest.level(n))
+            assert_same_hausdorff(nest.level(n + 1), nest.level(n))
+
+
 def test_json_round_trip_exact():
     A = IntervalUnion(DOMAIN, [(Fraction(1, 3), Fraction(2, 3)),
                                (Fraction(5, 6), Fraction(5, 6))])
@@ -212,3 +258,16 @@ def test_union_commutes_intersect_commutes(cs, ds):
 def test_de_morgan_on_measure(cs):
     A = IntervalUnion(DOMAIN, cs)
     assert A.measure() + A.complement().measure() >= 1
+
+
+def nonempty_union(values, domain):
+    return st.lists(st.tuples(values, values).map(sorted), min_size=1,
+                    max_size=12).map(lambda cs: IntervalUnion(domain, cs))
+
+
+@given(st.one_of(
+    st.tuples(nonempty_union(frac, DOMAIN), nonempty_union(frac, DOMAIN)),
+    st.tuples(nonempty_union(st.floats(0, 1), (0.0, 1.0)),
+              nonempty_union(st.floats(0, 1), (0.0, 1.0)))))
+def test_hausdorff_matches_reference_on_random_unions(pair):
+    assert_same_hausdorff(*pair)

@@ -1,13 +1,18 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from divergia import (JarnikParams, LiouvilleParams, ParameterError,
-                      PiecewiseLinear, jarnik_family, liouville_family,
-                      y_set, z_set)
+import divergia.cli
+from divergia import (FunctionFamily, JarnikParams, LiouvilleParams,
+                      ParameterError, PiecewiseLinear, default_grid,
+                      jarnik_family, liouville_family, y_set, z_set)
+from divergia.jarnik import _bump_value_at, _radius
 
 GOLDEN = (math.sqrt(5) - 1) / 2
 
@@ -226,3 +231,112 @@ def test_index_past_q_max_fails_before_any_level_is_built(build,
                  lambda n: fam.value(n, Fraction(1, 3))):
         with pytest.raises(ParameterError):
             call(6)
+
+
+# ----------------------------------------------------------------------
+# pointwise level values
+# ----------------------------------------------------------------------
+
+def reference_bump_value_at(x, q, r_core, r_support, height=1):
+    """One level's bump sum at x, in Fraction (or float) arithmetic."""
+    spacing = Fraction(1, q) if isinstance(r_support, Fraction) else 1 / q
+    if 2 * r_core >= spacing:
+        return height
+    if 2 * r_support >= spacing:
+        raise ParameterError(
+            "partially merged supports need materialized evaluation")
+    p = round(x * q)
+    p = min(max(p, 0), q)
+    c = Fraction(p, q) if isinstance(r_support, Fraction) else p / q
+    d = abs(x - c)
+    if d <= r_core:
+        return height
+    if d >= r_support:
+        return 0
+    return height * (r_support - d) / (r_support - r_core)
+
+
+@st.composite
+def level_point(draw):
+    """(x, q, r_core, r_support) for an exact Jarnik level, with x drawn
+    among rationals, the ties x q = p + 1/2, and the points at distance
+    exactly r_core or r_support from a centre."""
+    theta = draw(st.sampled_from([Fraction(1, 2), Fraction(1, 3),
+                                  Fraction(2, 5)]))
+    alpha = JarnikParams(theta).alpha0
+    q = draw(st.integers(min_value=1, max_value=60))
+    r_core, r_support = _radius(q, alpha), _radius(q, alpha, q + 1, q)
+    p = draw(st.integers(min_value=0, max_value=q))
+    sign = draw(st.sampled_from([-1, 1]))
+    if p == 0 or p == q:
+        sign = 1 if p == 0 else -1
+    x = draw(st.one_of(
+        st.fractions(min_value=0, max_value=1, max_denominator=10 ** 4),
+        st.just(Fraction(2 * p + 1, 2 * q)).filter(lambda v: v <= 1),
+        st.sampled_from([Fraction(p, q) + sign * r_core,
+                         Fraction(p, q) + sign * r_support]).filter(
+                             lambda v: 0 <= v <= 1),
+        st.sampled_from([0, 1, Fraction(p, q)])))
+    return x, q, r_core, r_support
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ParameterError as err:
+        return ("raises", str(err))
+
+
+@settings(max_examples=500)
+@given(level_point())
+def test_integer_level_value_matches_fraction_form(case):
+    got = outcome(_bump_value_at, *case)
+    want = outcome(reference_bump_value_at, *case)
+    assert type(got) is type(want) and got == want
+
+
+def test_iset_works_out_radii_once_per_level(monkeypatch):
+    calls = Counter()
+
+    def counting(q, *args, **kwargs):
+        calls[q] += 1
+        return _radius(q, *args, **kwargs)
+
+    monkeypatch.setattr("divergia.jarnik._radius", counting)
+    assert divergia.cli.main(["iset", "--family", "jarnik", "--theta",
+                              "1/2", "--M", "7", "--N", "20"]) == 0
+    assert set(calls) == set(range(1, 21))
+    assert max(calls.values()) <= 2
+
+
+def merged_family():
+    # alpha = 2.2: at q = 2 the supports overlap but the cores do not cover
+    params = JarnikParams(Fraction(10, 11))
+    alpha = params.alpha0
+    with pytest.raises(ParameterError, match="partially merged"):
+        _bump_value_at(Fraction(1, 3), 2, _radius(2, alpha),
+                       _radius(2, alpha, 3, 2))
+    return jarnik_family(params)
+
+
+def test_partially_merged_level_agrees_with_materialized():
+    fam = merged_family()
+    r6 = fam.rule(6)
+    for x in default_grid((0, 1)):
+        assert fam.value(6, x) == pytest.approx(r6.eval(x), abs=1e-12)
+
+
+def test_partially_merged_level_falls_back_once(monkeypatch):
+    requested = Counter()
+    increment = FunctionFamily.increment
+
+    def counting(self, n):
+        requested[n] += 1
+        return increment(self, n)
+
+    monkeypatch.setattr(FunctionFamily, "increment", counting)
+    fam = merged_family()
+    for x in default_grid((0, 1)):
+        fam.value(6, x)
+    # the merged level reads its materialized increment once, not per point
+    assert requested == Counter({2: 1})

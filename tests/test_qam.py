@@ -117,6 +117,18 @@ def test_negative_exp_mean_tends_to_min():
     assert m == pytest.approx(0.2 - math.log(0.5) / 200, abs=1e-9)
 
 
+@pytest.mark.parametrize("a", [(0, 1), (1, 2, 3.5), (-1.0, 0.3, 0.7)])
+@pytest.mark.parametrize("F", [Exp(-1000), AffineOf(Exp(-1000), 2.0, 1.0)],
+                         ids=["exp", "affine"])
+def test_negative_exp_mean_overflow_free(F, a):
+    # e^(-1000 * (min - max)) overflows a float; factoring out the dominant
+    # term e^(c * min(a)) keeps every scaled term at most 1
+    c, lo = -1000, min(a)
+    want = lo + math.log(math.fsum(math.exp(c * (x - lo)) for x in a)
+                         / len(a)) / c
+    assert qa_mean(F, a) == pytest.approx(want, abs=1e-9)
+
+
 def test_mean_input_validation():
     with pytest.raises(ParameterError):
         qa_mean(Log(), ())
