@@ -20,6 +20,7 @@ from fractions import Fraction
 from . import __version__
 from .dimension import box_dimension, moran_dimension
 from .errors import DivergiaError, ParameterError
+from .funcs import tietze_family
 from .ifs import CantorParams, cantor_nest, uniform_cantor
 from .intervals import IntervalUnion
 from .jarnik import JarnikParams, LiouvilleParams, jarnik_family, \
@@ -109,38 +110,36 @@ def cmd_cantor(args):
           csv_header=["level", "a", "b"])
 
 
+#: family builders by tag, called with (theta, q_max); all but liouville
+#: need a theta
+_FAMILIES = {
+    "cantor-tietze": lambda theta, q_max: tietze_family(
+        cantor_nest(CantorParams(theta)), tag=f"cantor-tietze(theta={theta})"),
+    "liouville": lambda theta, q_max: liouville_family(
+        LiouvilleParams(q_max=q_max)),
+    "jarnik": lambda theta, q_max: jarnik_family(
+        JarnikParams(theta, q_max=q_max)),
+    "anydh": lambda theta, q_max: anydh_family(
+        theta, liouville_params=LiouvilleParams(q_max=q_max)),
+}
+
+
 def _family_from_tag(tag: str, args, backend: str):
-    theta = _parse_number(args.theta, backend) if args.theta else None
-    if tag == "liouville":
-        return liouville_family(LiouvilleParams(q_max=args.q_max))
-    if tag == "jarnik":
-        if theta is None:
-            raise ParameterError("jarnik family needs --theta")
-        return jarnik_family(JarnikParams(theta, q_max=args.q_max))
-    if tag == "anydh":
-        if theta is None:
-            raise ParameterError("anydh family needs --theta")
-        return anydh_family(theta,
-                            liouville_params=LiouvilleParams(
-                                q_max=args.q_max))
-    if tag == "cantor-tietze":
-        if theta is None:
-            raise ParameterError("cantor-tietze family needs --theta")
-        from .funcs import tietze_family
-        return tietze_family(cantor_nest(CantorParams(theta)),
-                             tag=f"cantor-tietze(theta={theta})")
-    raise ParameterError(
-        f"unknown family tag {tag!r}; choose from cantor-tietze, "
-        f"liouville, jarnik, anydh")
+    text = getattr(args, "theta", None)
+    theta = None if text is None else _parse_number(text, backend)
+    build = _FAMILIES.get(tag)
+    if build is None:
+        raise ParameterError(
+            f"unknown family tag {tag!r}; choose from "
+            f"{', '.join(_FAMILIES)}")
+    if theta is None and tag != "liouville":
+        raise ParameterError(f"{tag} family needs --theta")
+    return build(theta, args.q_max)
 
 
 def cmd_jarnik(args):
     """The ``jarnik`` and ``liouville`` commands."""
-    if args.command == "liouville":
-        fam = liouville_family(LiouvilleParams(q_max=args.q_max))
-    else:
-        theta = _parse_number(args.theta, _backend(args))
-        fam = jarnik_family(JarnikParams(theta, q_max=args.q_max))
+    fam = _family_from_tag(args.command, args, _backend(args))
     pw = fam.rule(args.n)
     # the cuts take the backend of the knots, so a float family has float cuts
     cuts = default_grid(pw.domain, points=10, q_max=1)
@@ -159,11 +158,10 @@ def cmd_jarnik(args):
 
 
 def cmd_check(args):
-    backend = _backend(args)
-    fam = _family_from_tag(args.family, args, backend)
+    """The ``check`` and ``anydh`` commands."""
+    fam = _family_from_tag(args.family, args, _backend(args))
     report = max_family_check(fam, M=args.M, n_max=args.N)
-    _emit(args, {"command": "check", **report.to_json()})
-    return 0
+    _emit(args, {"command": args.command, **report.to_json()})
 
 
 def cmd_iset(args):
@@ -174,15 +172,6 @@ def cmd_iset(args):
             for x, v, f in zip(est.points, est.values, est.flags)]
     _emit(args, {"command": "iset", **est.to_json()},
           csv_rows=rows, csv_header=["x", "value", "flagged"])
-
-
-def cmd_anydh(args):
-    backend = _backend(args)
-    theta = _parse_number(args.theta, backend)
-    fam = anydh_family(theta,
-                       liouville_params=LiouvilleParams(q_max=args.q_max))
-    report = max_family_check(fam, M=args.M, n_max=args.N)
-    _emit(args, {"command": "anydh", **report.to_json()})
 
 
 def cmd_dim(args):
@@ -196,9 +185,8 @@ def cmd_dim(args):
         raise ParameterError("dim needs either --moran or --input")
     with open(args.input) as fh:
         A = IntervalUnion.from_json(json.load(fh))
+    shortest = min((b - a for a, b in A.components if b > a), default=0)
     if args.scales == "auto":
-        shortest = min((b - a for a, b in A.components if b > a),
-                       default=None)
         finest = float(shortest) if shortest else 1e-4
         scales, d = [], 0.25
         while d >= finest and len(scales) < 12:
@@ -208,10 +196,8 @@ def cmd_dim(args):
             scales = [2.0 ** -k for k in range(2, 6)]
     else:
         scales = _parse_floats(args.scales)
-    shortest = min((float(b - a) for a, b in A.components if b > a),
-                   default=0.0)
     warn = None
-    if shortest and min(scales) < shortest:
+    if shortest and min(scales) < float(shortest):
         warn = ("finest scale undercuts the shortest component; counts "
                 "saturate below that scale")
     est = box_dimension(A, scales)
@@ -332,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=30)
     p.add_argument("--q-max", type=int, default=50)
     common(p, fmt=False)
-    p.set_defaults(func=cmd_anydh)
+    p.set_defaults(func=cmd_check, family="anydh")
 
     p = sub.add_parser("check", help="max-family surrogate report")
     p.add_argument("--family", required=True,

@@ -12,7 +12,7 @@ from .intervals import IntervalUnion
 from .scalars import format_scalar
 
 
-def moran_dimension(ratios, tol: float = 1e-12, max_iter: int = 200) -> float:
+def moran_dimension(ratios) -> float:
     """Unique s >= 0 with sum(c_i ** s) == 1, by bisection.
 
     The sum is strictly decreasing in s, equals len(ratios) >= 1 at s = 0,
@@ -32,9 +32,9 @@ def moran_dimension(ratios, tol: float = 1e-12, max_iter: int = 200) -> float:
     lo, hi = 0.0, 1.0
     while total(hi) > 1 and hi < 1e6:
         hi *= 2
-    for _ in range(max_iter):
+    for _ in range(200):
         mid = (lo + hi) / 2
-        if abs(total(mid) - 1) <= tol:
+        if abs(total(mid) - 1) <= 1e-12:
             return mid
         if total(mid) > 1:
             lo = mid

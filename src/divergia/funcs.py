@@ -366,13 +366,12 @@ class MonotoneReport:
         return self.ok
 
 
-def monotone_check(fam: FunctionFamily, n_max: int,
-                   tol: float = TOL) -> MonotoneReport:
-    """Verify rule(n+1) >= rule(n) - tol for all n up to n_max.
+def monotone_check(fam: FunctionFamily, n_max: int) -> MonotoneReport:
+    """Verify rule(n+1) >= rule(n) - TOL for all n up to n_max.
 
     rule(n+1) - rule(n) is the memoized ``increment(n+1)``, and a
     piecewise-linear function takes its minimum at a knot, so each
-    increment is read at its knots in order and the first value below -tol
+    increment is read at its knots in order and the first value below -TOL
     is reported; no partial sum is built and no grid is sampled.  At
     n_max = min_index there is nothing to compare, and the check passes.
     """
@@ -380,7 +379,7 @@ def monotone_check(fam: FunctionFamily, n_max: int,
     for n in range(fam.min_index, n_max):
         inc = fam.increment(n + 1)
         for x, d in zip(inc.xs, inc.ys):
-            if d < -tol:
+            if d < -TOL:
                 return MonotoneReport(False, n_checked=n,
                                       first_violation=(n, x, d))
     return MonotoneReport(True, n_checked=n_max)

@@ -19,7 +19,6 @@ from .scalars import TOL, format_scalar, is_exact, parse_scalar
 
 def _canonicalize(components, lo, hi, exact):
     comps = []
-    gap = 0 if exact else TOL
     for a, b in sorted(components):
         if b < a:
             raise ParameterError(f"interval [{a}, {b}] has negative length")
@@ -28,7 +27,7 @@ def _canonicalize(components, lo, hi, exact):
                 raise ParameterError(
                     f"component [{a}, {b}] escapes domain [{lo}, {hi}]")
             a, b = max(a, lo), min(b, hi)
-        if comps and a <= comps[-1][1] + gap:
+        if comps and a <= (comps[-1][1] if exact else comps[-1][1] + TOL):
             comps[-1] = (comps[-1][0], max(comps[-1][1], b))
         else:
             comps.append((a, b))

@@ -12,7 +12,7 @@ the closure of the thin one, which is what the bump construction needs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
@@ -198,12 +198,11 @@ class LiouvilleParams:
     level contributes unit-order integral per bump."""
 
     q_max: int = 50
-    float_q_cap: int = field(default=500, repr=False)
 
     def __post_init__(self):
-        if not 1 <= self.q_max <= self.float_q_cap:
+        if not 1 <= self.q_max <= 500:
             raise ParameterError(
-                f"q_max must lie in [1, {self.float_q_cap}] so heights stay "
+                "q_max must lie in [1, 500] so heights stay "
                 f"representable, got {self.q_max}")
 
     def width(self, q: int) -> float:

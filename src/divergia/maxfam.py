@@ -318,7 +318,7 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
 # assembled families with prescribed divergence-set dimension
 # ----------------------------------------------------------------------
 
-def anydh_family(theta, eps=None,
+def anydh_family(theta,
                  liouville_params: Optional[LiouvilleParams] = None,
                  ) -> FunctionFamily:
     """Max-family whose divergence set has Hausdorff dimension theta and
@@ -337,7 +337,7 @@ def anydh_family(theta, eps=None,
     if theta == 1:
         d = constant_family(z.domain, lambda n: n, tag="linear-constants")
     else:
-        d = tietze_family(cantor_nest(CantorParams(theta, eps)),
+        d = tietze_family(cantor_nest(CantorParams(theta)),
                           tag=f"cantor-tietze(theta={theta})")
     fam = sum_family(d, z)
     fam.tag = f"anydh(theta={theta})"

@@ -37,6 +37,17 @@ class Generator:
         """The curvature ratio F''/F' as a symbolic k/x + c expression."""
         raise NotImplementedError
 
+    def scaled(self, lo, hi) -> Callable[[float], float]:
+        """F up to a nonzero factor and an additive constant, which change
+        neither a quasiarithmetic mean nor the ratio quotient; Power and
+        Exp divide by F at the end of [lo, hi] where |F| is largest."""
+        return self
+
+
+def _dominant_end(rate, lo, hi) -> float:
+    """The end of [lo, hi] where x^rate or e^(rate x) is largest."""
+    return float(hi) if rate > 0 else float(lo)
+
 
 @dataclass(frozen=True)
 class Power(Generator):
@@ -57,6 +68,10 @@ class Power(Generator):
 
     def arrow(self):
         return ArrowExpr(over_x=self.p - 1, const=0.0)
+
+    def scaled(self, lo, hi):
+        p, ref = self.p, _dominant_end(self.p, lo, hi)
+        return lambda x: (float(x) / ref) ** p
 
 
 @dataclass(frozen=True)
@@ -92,6 +107,10 @@ class Exp(Generator):
     def arrow(self):
         return ArrowExpr(over_x=0.0, const=float(self.c))
 
+    def scaled(self, lo, hi):
+        c, ref = self.c, _dominant_end(self.c, lo, hi)
+        return lambda x: math.exp(c * (float(x) - ref))
+
 
 @dataclass(frozen=True)
 class AffineOf(Generator):
@@ -113,6 +132,9 @@ class AffineOf(Generator):
 
     def arrow(self):
         return self.inner.arrow()
+
+    def scaled(self, lo, hi):
+        return self.inner.scaled(lo, hi)
 
 
 @dataclass(frozen=True)
@@ -159,13 +181,6 @@ def constant_generator_family(gen: Generator, domain) -> GeneratorFamily:
 # means
 # ----------------------------------------------------------------------
 
-def _unwrap_affine(F: Generator) -> Generator:
-    """The generator under any AffineOf wrappers of F."""
-    while isinstance(F, AffineOf):
-        F = F.inner
-    return F
-
-
 def _check_tuple(F: Generator, a: Sequence):
     if not a:
         raise ParameterError("mean of an empty tuple is undefined")
@@ -174,30 +189,20 @@ def _check_tuple(F: Generator, a: Sequence):
             raise ParameterError(f"value {v} outside generator domain")
 
 
-def qa_mean(F: Generator, a: Sequence, tol: float = 1e-12) -> float:
+def qa_mean(F: Generator, a: Sequence) -> float:
     """F^{-1} of the arithmetic mean of F-values, by bisection on
     [min(a), max(a)] (strict monotonicity guarantees the bracket).
 
-    For exponential generators the dominant factor, e^(c * max(a)) when
-    c > 0 and e^(c * min(a)) when c < 0, is pulled out of both sides before
-    comparing, so every scaled term is at most 1 and the computation stays
-    finite for rates of either sign far beyond overflow.
+    Both sides go through ``F.scaled(min(a), max(a))``, which divides out
+    the dominant term, so every scaled term is at most 1 and the mean
+    stays finite for rates of either sign far beyond overflow.
     """
     _check_tuple(F, a)
     lo, hi = min(a), max(a)
     if lo == hi:
         return float(lo)
 
-    base = _unwrap_affine(F)
-    shift = 0.0
-    if isinstance(base, Exp):
-        shift = float(hi) if base.c > 0 else float(lo)
-
-    def feval(x):
-        if shift:
-            return math.exp(base.c * (float(x) - shift))
-        return F(x)
-
+    feval = F.scaled(lo, hi)
     target = math.fsum(feval(v) for v in a) / len(a)
     increasing = feval(hi) > feval(lo)
 
@@ -212,9 +217,9 @@ def qa_mean(F: Generator, a: Sequence, tol: float = 1e-12) -> float:
             lo_f = mid
         else:
             hi_f = mid
-        if hi_f - lo_f <= tol:
+        if hi_f - lo_f <= TOL:
             break
-    if not (hi_f - lo_f <= max(tol, TOL * max(abs(lo_f), abs(hi_f), 1.0))):
+    if not (hi_f - lo_f <= TOL * max(abs(lo_f), abs(hi_f), 1.0)):
         raise ConstructionError(
             "bisection bracket failed to close; the generator violates "
             "strict monotonicity on the tuple range")
@@ -232,7 +237,10 @@ def power_mean(p, a: Sequence) -> float:
     if p == 0:
         return math.exp(math.fsum(math.log(v) for v in vals) / len(vals))
     p = float(p)
-    return (math.fsum(v ** p for v in vals) / len(vals)) ** (1 / p)
+    lo, hi = min(vals), max(vals)
+    scaled = Power(p).scaled(lo, hi)
+    mean = (math.fsum(scaled(v) for v in vals) / len(vals)) ** (1 / p)
+    return mean * _dominant_end(p, lo, hi)
 
 
 # ----------------------------------------------------------------------
@@ -241,24 +249,24 @@ def power_mean(p, a: Sequence) -> float:
 
 def ratio_condition(F: GeneratorFamily, x, y, z, n: int) -> float:
     """The quotient (F_n(x) - F_n(y)) / (F_n(z) - F_n(y)); it tends to 0
-    for all x < y < z exactly when the means tend to max."""
+    for all x < y < z exactly when the means tend to max.
+
+    ``scaled(z, z)`` factors out F_n(z); a quotient outside the float
+    range raises OverflowError.
+    """
     if not x < y < z:
         raise ParameterError("need x < y < z")
-    gen = F.rule(n)
-    base = _unwrap_affine(gen)
-    if isinstance(base, Exp):
-        # factor out e^(c z): same quotient, overflow-free
-        c = base.c
-        ex = math.exp(c * (float(x) - float(z)))
-        ey = math.exp(c * (float(y) - float(z)))
-        num, den = ex - ey, 1.0 - ey
-    else:
-        num = gen(x) - gen(y)
-        den = gen(z) - gen(y)
+    gen = F.rule(n).scaled(z, z)
+    num = gen(x) - gen(y)
+    den = gen(z) - gen(y)
     if den == 0:
         raise ConstructionError(
             "zero denominator: generator is not strictly monotone")
-    return num / den
+    q = num / den
+    if not math.isfinite(q):
+        raise OverflowError(f"ratio quotient at n = {n} is not a finite "
+                            f"float: {q}")
+    return q
 
 
 @dataclass(frozen=True)
@@ -271,29 +279,26 @@ class RatioReport:
         return self.qa_maximal_indicator
 
 
-def ratio_report(F: GeneratorFamily, x, y, z, n_max: int,
-                 tol: float = 1e-4) -> RatioReport:
+def ratio_report(F: GeneratorFamily, x, y, z, n_max: int) -> RatioReport:
     """Convergence report of the quotient over n <= n_max; the family is
-    tagged as a max-mean indicator when |quotient| falls below tol."""
+    tagged as a max-mean indicator when |quotient| falls below 1e-4."""
+    tol = 1e-4
     qs = tuple((n, ratio_condition(F, x, y, z, n))
                for n in range(1, n_max + 1))
     ok = abs(qs[-1][1]) < tol
     return RatioReport(quotients=qs, tol=tol, qa_maximal_indicator=ok)
 
 
-def arrow_family(F: GeneratorFamily, knot_budget: int = 129) -> FunctionFamily:
+def arrow_family(F: GeneratorFamily) -> FunctionFamily:
     """Piecewise-linear interpolations of the curvature ratios F_n''/F_n'
-    on a uniform knot grid, ready for integral-growth checks.
+    on a uniform grid of 129 knots, ready for integral-growth checks.
 
     Requires the ratios to be pointwise nondecreasing in n on the grid
     (equivalent to the means being nondecreasing); the second-difference
     interpolation error bound is recorded per index in ``family.info``.
     """
-    if knot_budget < 3:
-        raise ParameterError("knot budget must be at least 3")
     lo, hi = F.domain
-    xs = [lo + (hi - lo) * k / (knot_budget - 1)
-          for k in range(knot_budget)]
+    xs = [lo + (hi - lo) * k / 128 for k in range(129)]
     info = {}
     memo = {}
 

@@ -22,8 +22,7 @@ def is_exact(x) -> bool:
 def format_scalar(x) -> object:
     """JSON representation: exact values as "p/q" strings, floats as numbers."""
     if is_exact(x):
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
+        return f"{x.numerator}/{x.denominator}"
     return float(x)
 
 

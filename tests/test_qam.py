@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divergia import (AffineOf, ConstructionError, Exp, GeneratorFamily, Log,
@@ -129,6 +129,44 @@ def test_negative_exp_mean_overflow_free(F, a):
     assert qa_mean(F, a) == pytest.approx(want, abs=1e-9)
 
 
+def _log_power_mean(p, a):
+    """p-th power mean by log-sum-exp: finite for any p and positive a."""
+    logs = [math.log(v) for v in a]
+    top = max(p * t for t in logs)
+    lse = top + math.log(math.fsum(math.exp(p * t - top) for t in logs))
+    return math.exp((lse - math.log(len(a))) / p)
+
+
+@pytest.mark.parametrize("mean", [
+    lambda: qa_mean(Power(2000), (1, 2)),
+    lambda: power_mean(2000, (1, 2)),
+    lambda: qa_mean(AffineOf(Power(2000), 2, 1), (1, 2)),
+], ids=["qa_mean", "power_mean", "affine"])
+def test_steep_power_mean_overflow_free(mean):
+    # 2^2000 overflows a float; dividing by the dominant term max(a)^p
+    # keeps every scaled term at most 1
+    assert mean() == pytest.approx(_log_power_mean(2000, (1, 2)), abs=1e-9)
+
+
+def test_steep_power_ratio_overflow_free():
+    # ((x/z)^n - (y/z)^n) / (1 - (y/z)^n), with every power in the log domain
+    x, y, z, n = 1.1, 1.5, 1.9, 2000
+    ex = math.exp(n * (math.log(x) - math.log(z)))
+    ey = math.exp(n * (math.log(y) - math.log(z)))
+    want = (ex - ey) / (1 - ey)
+    got = ratio_condition(power_rate_family(), x, y, z, n)
+    assert got == pytest.approx(want, rel=1e-9, abs=0)
+    assert got < 0
+
+
+@pytest.mark.parametrize("a", [(1.5, 2.0), (2.0, 3.0)])
+def test_affine_power_mean_keeps_the_power_term(a):
+    # a^-45.7 is below 1e-8 on these tuples, so adding b = 1 to it before
+    # averaging rounds most of it away; the scaled generator never adds b
+    got = qa_mean(AffineOf(Power(-45.7), 1.0, 1.0), a)
+    assert abs(got - _log_power_mean(-45.7, a)) <= 1e-12
+
+
 def test_mean_input_validation():
     with pytest.raises(ParameterError):
         qa_mean(Log(), ())
@@ -144,6 +182,113 @@ def test_power_mean_ordering(a):
     # p-th power means are nondecreasing in p
     assert power_mean(1, a) <= power_mean(2, a) + 1e-9
     assert power_mean(0, a) <= power_mean(1, a) + 1e-9
+
+
+# The Exp-only dominant-term code that Generator.scaled replaced, kept as
+# the reference the scaled paths must match bit for bit.
+
+def _reference_exp_qa_mean(F, a, tol=1e-12):
+    base = F
+    while isinstance(base, AffineOf):
+        base = base.inner
+    lo, hi = min(a), max(a)
+    if lo == hi:
+        return float(lo)
+    shift = float(hi) if base.c > 0 else float(lo)
+
+    def feval(x):
+        if shift:
+            return math.exp(base.c * (float(x) - shift))
+        return F(x)
+
+    target = math.fsum(feval(v) for v in a) / len(a)
+    increasing = feval(hi) > feval(lo)
+    lo_f, hi_f = float(lo), float(hi)
+    for _ in range(200):
+        mid = (lo_f + hi_f) / 2
+        val = feval(mid)
+        if val == target:
+            return mid
+        go_right = (val < target) if increasing else (val > target)
+        if go_right:
+            lo_f = mid
+        else:
+            hi_f = mid
+        if hi_f - lo_f <= tol:
+            break
+    return (lo_f + hi_f) / 2
+
+
+def _reference_exp_ratio(c, x, y, z):
+    ex = math.exp(c * (float(x) - float(z)))
+    ey = math.exp(c * (float(y) - float(z)))
+    return (ex - ey) / (1.0 - ey)
+
+
+_rates = st.floats(min_value=-1000, max_value=1000).filter(lambda c: c != 0)
+_points = st.floats(min_value=-2, max_value=2)
+
+
+def _exp_generators(c):
+    return st.one_of(
+        st.just(Exp(c)),
+        st.builds(lambda s, b: AffineOf(Exp(c), s, b),
+                  st.floats(-3, 3).filter(lambda s: s != 0),
+                  st.floats(-5, 5)),
+        st.builds(lambda s: AffineOf(AffineOf(Exp(c), s, 1.0), -1.0),
+                  st.floats(0.5, 3)))
+
+
+@settings(max_examples=400)
+@given(st.data(), _rates,
+       st.lists(_points, min_size=1, max_size=8),
+       st.sampled_from([(), (0.0,), (-0.0, 1.0)]))
+def test_exp_mean_matches_reference(data, c, a, ends):
+    # An affine image gives exactly its generator's mean.  The reference
+    # agrees wherever it shifted; at a shift end of exactly 0 (which ends
+    # puts in) it averaged a e^(c x) + b instead, and could round the
+    # exponential away against b.
+    F = data.draw(_exp_generators(c))
+    a = a + list(ends)
+    got = qa_mean(F, a)
+    want = _reference_exp_qa_mean(Exp(c), a)
+    assert type(got) is type(want)
+    assert repr(got) == repr(want)
+    if (max(a) if c > 0 else min(a)) != 0:
+        assert repr(_reference_exp_qa_mean(F, a)) == repr(want)
+
+
+def test_affine_exp_mean_at_zero_shift():
+    # the reference returned 0.5: a e^(-x) + b rounds to the constant 1.0
+    F, a = AffineOf(Exp(-1.0), 1.6784685150090963e-219, 1.0), (0.0, -0.0, 1.0)
+    want = -math.log((2 + math.exp(-1)) / 3)
+    assert _reference_exp_qa_mean(F, a) == 0.5
+    assert qa_mean(F, a) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=200)
+@given(st.data(), _rates, st.lists(_points, min_size=3, max_size=3,
+                                   unique=True))
+def test_exp_ratio_matches_reference(data, c, probe):
+    x, y, z = sorted(probe)
+    fam = constant_generator_family(data.draw(_exp_generators(c)),
+                                    (-2.0, 2.0))
+    try:
+        want = _reference_exp_ratio(c, x, y, z)
+    except OverflowError:
+        with pytest.raises(OverflowError):
+            ratio_condition(fam, x, y, z, 1)
+        return
+    except ZeroDivisionError:
+        with pytest.raises(ConstructionError):
+            ratio_condition(fam, x, y, z, 1)
+        return
+    if not math.isfinite(want):
+        with pytest.raises(OverflowError):
+            ratio_condition(fam, x, y, z, 1)
+        return
+    got = ratio_condition(fam, x, y, z, 1)
+    assert repr(got) == repr(want)
 
 
 # ----------------------------------------------------------------------
@@ -176,6 +321,18 @@ def test_ratio_condition_affine_invariant():
 def test_ratio_condition_needs_ordered_probe():
     with pytest.raises(ParameterError):
         ratio_condition(exp_rate_family(), 0.5, 0.5, 1, 3)
+
+
+def test_ratio_condition_raises_outside_float_range():
+    # e^(1490 (z - x)) overflows once F_n(z) is factored out; factoring out
+    # F_n(x) instead would divide by a subnormal and return -inf
+    fam = GeneratorFamily(lambda n: Exp(-n), (0.0, 1.0))
+    with pytest.raises(OverflowError):
+        ratio_condition(fam, 0, 0.5, 1, 1490)
+    # every term is finite, but the quotient e^700 / (1 - e^(700 ulp))
+    # is not
+    with pytest.raises(OverflowError):
+        ratio_condition(fam, 0, 1 - 2 ** -53, 1, 700)
 
 
 def test_ratio_report_verdicts():
