@@ -69,15 +69,6 @@ def _emit(args, document, csv_rows=None, csv_header=None):
         sys.stdout.write(text)
 
 
-def _as_backend(iu: IntervalUnion, backend: str) -> IntervalUnion:
-    if backend != "float" or not iu.exact:
-        return iu
-    lo, hi = iu.domain
-    return IntervalUnion((float(lo), float(hi)),
-                         [(float(a), float(b)) for a, b in iu.components],
-                         exact=False)
-
-
 def _set_rows(sets):
     rows = []
     for name, iu in sets:
@@ -96,10 +87,11 @@ def cmd_cantor(args):
     eps = _parse_number(args.eps, backend) if args.eps is not None else None
     params = CantorParams(theta, eps)
     nest = cantor_nest(params)
-    builder = (lambda n: uniform_cantor(params, n)) if args.uniform \
+    make_level = (lambda n: uniform_cantor(params, n)) if args.uniform \
         else nest.level
-    levels = [(f"level_{n}", _as_backend(builder(n), backend))
-              for n in range(args.levels + 1)]
+    levels = [(f"level_{n}", make_level(n)) for n in range(args.levels + 1)]
+    if backend == "float":
+        levels = [(name, iu.as_float()) for name, iu in levels]
     doc = {
         "command": "cantor", "theta": format_scalar(theta),
         "eps": format_scalar(params.eps), "ratio": format_scalar(params.m),
@@ -281,11 +273,12 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=True, backend=True):
+    def common(p, fmt=True, backend="float parses and echoes --theta as a "
+               "float; theta's value decides the family's backend"):
         p.add_argument("--output", "-o", help="write to file instead of stdout")
         if backend:
             p.add_argument("--backend", choices=["exact", "float"],
-                           help="overrides DIVERGIA_BACKEND (default exact)")
+                           help=f"{backend}; default DIVERGIA_BACKEND or exact")
         if fmt:
             p.add_argument("--format", choices=["json", "csv"],
                            default="json")
@@ -296,7 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--levels", type=int, default=3)
     p.add_argument("--uniform", action="store_true",
                    help="middle-removal variant of the construction")
-    common(p)
+    common(p, backend="float parses --theta and --eps as floats and writes "
+                      "the levels as floats")
     p.set_defaults(func=cmd_cantor)
 
     p = sub.add_parser("jarnik", help="rational-neighborhood family")

@@ -34,7 +34,8 @@ from typing import Callable, Optional
 
 from .errors import ConstructionError, ParameterError, require_same_domain
 from .intervals import IntervalUnion
-from .scalars import TOL, format_scalar, is_exact, parse_scalar
+from .scalars import (EXACT_TYPES, SCALAR_TYPES, TOL, format_scalar,
+                      is_exact, parse_scalar)
 
 
 @dataclass(frozen=True)
@@ -112,6 +113,13 @@ class PiecewiseLinear:
     def sub(self, other: "PiecewiseLinear") -> "PiecewiseLinear":
         return self.add(other.scale(-1))
 
+    def as_float(self) -> Optional["PiecewiseLinear"]:
+        """This function on floats; None when two knots round to one."""
+        try:
+            return PiecewiseLinear(map(float, self.xs), map(float, self.ys))
+        except ParameterError:
+            return None
+
     def integral(self, x, y):
         """Exact trapezoid integral over [x, y] (subset of the domain)."""
         if x >= y:
@@ -140,10 +148,6 @@ class PiecewiseLinear:
             [(parse_scalar(x), parse_scalar(y)) for x, y in doc["knots"]])
 
 
-_EXACT_TYPES = frozenset((int, Fraction))
-_SCALAR_TYPES = _EXACT_TYPES | {float}
-
-
 def _interpolate(x, x0, x1, y0, y1):
     """Value at x, x0 <= x <= x1, of the segment from (x0, y0) to (x1, y1):
     exactly what ``y0 + (y1 - y0) * (x - x0) / (x1 - x0)`` gives, type and
@@ -156,9 +160,9 @@ def _interpolate(x, x0, x1, y0, y1):
     # a float through int / int, so they, and any other type, take the
     # formula.
     kinds = {type(y0), type(y1), type(x), type(x0), type(x1)}
-    if float in kinds and kinds <= _SCALAR_TYPES:
+    if float in kinds and kinds <= SCALAR_TYPES:
         return y0 + 0.0
-    if Fraction in kinds and kinds <= _EXACT_TYPES:
+    if Fraction in kinds and kinds <= EXACT_TYPES:
         return y0 if type(y0) is Fraction else Fraction(y0)
     return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
 
@@ -278,7 +282,7 @@ class FunctionFamily:
     k < n, so only the functions callers ask for are kept.  ``rule`` and
     ``increment`` are memoized for every family; ``increment`` at the first
     index is ``rule(min_index)``, and without a hook it is the difference
-    rule(n) - rule(n-1).  Every index is checked before any work starts.
+    rule(n) - rule(n-1).  Indices and points are checked before any work.
 
     Optional hooks keep deep indices tractable:
 
@@ -310,13 +314,17 @@ class FunctionFamily:
         # reentrant: the fold and the default increment call rule again
         self._lock = threading.RLock()
 
-    def _check(self, n: int):
+    def _check(self, n: int, *points):
         if n < self.min_index:
             raise ParameterError(
                 f"index {n} below first index {self.min_index}")
         if self.max_index is not None and n > self.max_index:
             raise ParameterError(
                 f"index {n} exceeds q_max = {self.max_index}")
+        lo, hi = self.domain
+        for x in points:
+            if not lo <= x <= hi:
+                raise ParameterError(f"{x} outside domain {self.domain}")
 
     def rule(self, n: int) -> PiecewiseLinear:
         self._check(n)
@@ -336,7 +344,7 @@ class FunctionFamily:
         return acc
 
     def value(self, n: int, x):
-        self._check(n)
+        self._check(n, x)
         if self._value is not None:
             return self._value(n, x)
         return self.rule(n).eval(x)

@@ -11,12 +11,12 @@ and the whole construction runs on the exact rational backend.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ConstructionError, ParameterError
 from .intervals import IntervalUnion
-from .scalars import is_exact
+from .scalars import as_integer, is_exact
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,8 @@ def _ratio_for(theta):
     """Contraction ratio (1/2)^(1/theta); exact when 1/theta is integral."""
     if not 0 < theta < 1:
         raise ParameterError(f"theta must lie in (0, 1), got {theta}")
-    inv = 1 / Fraction(theta) if is_exact(theta) else 1 / theta
-    if is_exact(inv) and Fraction(inv).denominator == 1:
-        return Fraction(1, 2 ** int(inv))
-    if isinstance(inv, float) and inv.is_integer():
-        return Fraction(1, 2 ** int(inv))
-    return 0.5 ** (1 / theta)
+    k = as_integer(1 / theta)
+    return 0.5 ** (1 / theta) if k is None else Fraction(1, 2 ** k)
 
 
 @dataclass(frozen=True)
@@ -58,6 +54,7 @@ class CantorParams:
 
     theta: object
     eps: object = None
+    m: object = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _ratio_for(self.theta)
@@ -73,10 +70,7 @@ class CantorParams:
                 f"eps must lie in (0, 1/(2m)-1) = (0, {1 / (2 * m) - 1}), "
                 f"got {eps}")
         object.__setattr__(self, "eps", eps)
-
-    @property
-    def m(self):
-        return _ratio_for(self.theta)
+        object.__setattr__(self, "m", m)
 
     @property
     def exact(self) -> bool:
@@ -133,15 +127,12 @@ class CantorNest:
 
     def __init__(self, params: CantorParams):
         self.params = params
-        # CantorParams derives m, and so exact and domain, on every access
-        self._m, self._exact = params.m, params.exact
-        self._domain = params.domain
         self.left, self.right = cantor_maps(params)
-        self._levels = {0: IntervalUnion.full(self._domain,
-                                              exact=self._exact)}
+        self._levels = {0: IntervalUnion.full(params.domain,
+                                              exact=params.exact)}
         self._lock = threading.Lock()
-        if self._exact:
-            self._shift = self._m.denominator.bit_length() - 1
+        if params.exact:
+            self._shift = params.m.denominator.bit_length() - 1
             self._eps = (params.eps.numerator, params.eps.denominator)
 
     def __call__(self, n: int) -> IntervalUnion:
@@ -160,11 +151,11 @@ class CantorNest:
 
     def measure_level(self, n: int):
         """Exact level measure: (2m)^n."""
-        return (2 * self._m) ** n
+        return (2 * self.params.m) ** n
 
     def fixed_point_left(self):
         """Fixed point of the left map, m*eps/(1-m); lies in every level."""
-        m = self._m
+        m = self.params.m
         return m * self.params.eps / (1 - m)
 
     def _children(self, ratio, offset):
@@ -184,10 +175,10 @@ class CantorNest:
         level k + 1; one descent of the address of x through k levels."""
         if n < 0:
             raise ParameterError("level index must be >= 0")
-        lo, hi = self._domain
+        lo, hi = self.params.domain
         if not lo <= x <= hi:
             raise ParameterError(f"{x} outside domain")
-        if not self._exact:
+        if not self.params.exact:
             return self._walk(n, x)
         x = Fraction(x)
         e_num, e_den = self._eps
@@ -222,14 +213,13 @@ class CantorNest:
         children = [(Fraction(B + E, S), Fraction(B + D + E, S)),
                     (Fraction(B + P - D - E, S), Fraction(B + P - E, S))]
         if j == 0:
-            return 0, self._domain, children
+            return 0, self.params.domain, children
         return j, (Fraction(B, S), Fraction(B + P, S)), children
 
     def _walk(self, n, x):
         # the descent of deepest_component through composed similarities
-        lo, hi = self._domain
         ratio, offset = 1.0, 0.0
-        interval = (lo, hi)
+        interval = self.params.domain
         children = self._children(ratio, offset)
         for k in range(n):
             for (c, t), (a, b) in children:

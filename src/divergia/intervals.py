@@ -179,6 +179,12 @@ class IntervalUnion:
                 return False
         return True
 
+    def as_float(self) -> "IntervalUnion":
+        """This set on the float backend, each endpoint converted once."""
+        lo, hi = self.domain
+        comps = [(float(a), float(b)) for a, b in self.components]
+        return IntervalUnion((float(lo), float(hi)), comps, exact=False)
+
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:

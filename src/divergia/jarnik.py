@@ -16,21 +16,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ParameterError
-from .funcs import _EXACT_TYPES, FunctionFamily, bump_from_sets
+from .funcs import FunctionFamily, bump_from_sets
 from .intervals import IntervalUnion
+from .scalars import EXACT_TYPES, as_integer, is_exact
 
 _DOMAIN = (0, 1)
 
 
 def _radius(q: int, alpha, extra_num: int = 1, extra_den: int = 1):
     """extra * q^(-alpha); exact when alpha is integral."""
-    if isinstance(alpha, (int, Fraction)) and Fraction(alpha).denominator == 1:
-        alpha = int(alpha)
-    elif isinstance(alpha, float) and alpha.is_integer():
-        alpha = int(alpha)
-    if isinstance(alpha, int):
-        return Fraction(extra_num, extra_den * q ** alpha)
-    return extra_num / extra_den * q ** (-float(alpha))
+    k = as_integer(alpha)
+    if k is None:
+        return extra_num / extra_den * q ** (-float(alpha))
+    return Fraction(extra_num, extra_den * q ** k)
 
 
 def _centered_set(q: int, radius) -> IntervalUnion:
@@ -80,10 +78,9 @@ class JarnikParams:
 
     @property
     def alpha0(self):
-        if isinstance(self.theta, (int, Fraction)):
-            return 2 / Fraction(self.theta)
         a = 2 / self.theta
-        return int(a) if a.is_integer() else a
+        # an exact alpha0 stays a Fraction, an integral float becomes an int
+        return a if is_exact(a) or as_integer(a) is None else int(a)
 
 
 def _level_reader(q, r_core, r_support, height=1):
@@ -112,7 +109,7 @@ def _level_reader(q, r_core, r_support, height=1):
         sup_num, sup_den = r_support.numerator, r_support.denominator
 
     def read(x):
-        if exact and type(x) in _EXACT_TYPES:
+        if exact and type(x) in EXACT_TYPES:
             a, b = x.numerator, x.denominator
             aq, bq = a * q, b * q
             p, rem = divmod(aq, b)
@@ -136,22 +133,19 @@ def _level_reader(q, r_core, r_support, height=1):
     return read
 
 
-def _bump_value_at(x, q, r_core, r_support, height=1):
-    """Pointwise value of one level's bump sum without materializing it."""
-    read = _level_reader(q, r_core, r_support, height)
-    if read is None:
-        raise ParameterError(
-            "partially merged supports need materialized evaluation")
-    return read(x)
-
-
 def _level_sums(constants):
-    """Pointwise value(fam, n, x) of a family ``fam`` whose q-th increment
-    is the bump sum of level q, with ``constants(q)`` = (r_core, r_support,
-    height).  Each level's reader is made once per family, under the
-    family's lock; a level whose supports partially merge reads the
+    """(value(fam, n, x), increment(q)) of a family ``fam`` whose q-th
+    increment is the bump sum of level q with ``constants(q)`` = (r_core,
+    r_support, height).  Each level's reader is made once per family, under
+    the family's lock; a level whose supports partially merge reads the
     family's memoized increment instead."""
     readers = {}
+
+    def increment(q):
+        # scaled even by height 1: Liouville's float 1.0 makes its values float
+        r_core, r_support, height = constants(q)
+        return bump_from_sets(_centered_set(q, r_support),
+                              _centered_set(q, r_core)).scale(height)
 
     def reader(fam, q):
         with fam._lock:
@@ -166,7 +160,7 @@ def _level_sums(constants):
             total += (readers.get(q) or reader(fam, q))(x)
         return total
 
-    return value
+    return value, increment
 
 
 def jarnik_family(params: JarnikParams) -> FunctionFamily:
@@ -174,18 +168,17 @@ def jarnik_family(params: JarnikParams) -> FunctionFamily:
     thin neighborhood of the rationals and 0 off the fat one."""
     alpha = params.alpha0
 
-    def fat_radius(q):
-        return _radius(q, alpha, extra_num=q + 1, extra_den=q)
+    def constants(q):
+        return _radius(q, alpha), _radius(q, alpha, q + 1, q), 1
 
-    sums = _level_sums(lambda q: (_radius(q, alpha), fat_radius(q), 1))
+    sums, level = _level_sums(constants)
 
     def step_bound(q):
-        return min(1.0, float(2 * (q + 1) * fat_radius(q)))
+        return min(1.0, float(2 * (q + 1) * constants(q)[1]))
 
     fam = FunctionFamily(
         _DOMAIN, tag=f"jarnik(alpha0={alpha})", min_index=1,
-        max_index=params.q_max,
-        increment=lambda q: bump_from_sets(z_set(q, alpha), y_set(q, alpha)),
+        max_index=params.q_max, increment=level,
         value=lambda n, x: sums(fam, n, x),
         step_bound=step_bound)
     return fam
@@ -224,17 +217,11 @@ def liouville_family(params: LiouvilleParams = None) -> FunctionFamily:
     if params is None:
         params = LiouvilleParams()
 
-    def level(q):
-        rho = params.width(q)
-        outer = _centered_set(q, rho)
-        inner = _centered_set(q, rho / 2)
-        return bump_from_sets(outer, inner).scale(params.height(q))
-
     def constants(q):
         rho = params.width(q)
         return rho / 2, rho, params.height(q)
 
-    sums = _level_sums(constants)
+    sums, level = _level_sums(constants)
     # the levels are float, so points are coerced to float
     fam = FunctionFamily(
         _DOMAIN, tag=f"liouville(q_max={params.q_max})", min_index=1,

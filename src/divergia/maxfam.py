@@ -22,7 +22,7 @@ from .funcs import (FunctionFamily, MonotoneReport, PiecewiseLinear,
 from .ifs import CantorParams, cantor_nest
 from .intervals import IntervalUnion
 from .jarnik import LiouvilleParams, liouville_family
-from .scalars import format_scalar, is_exact
+from .scalars import format_scalar, is_exact, meet
 
 
 # ----------------------------------------------------------------------
@@ -30,7 +30,8 @@ from .scalars import format_scalar, is_exact
 # ----------------------------------------------------------------------
 
 def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
-    """Indexwise sum, with ``value`` equal to the sum of the inputs' values.
+    """Indexwise sum, with ``value`` equal to the sum of the inputs' values
+    and knots merged once the summands meet by ``scalars.meet``.
 
     For families bounded below the divergence set of the sum is the union
     of the inputs' divergence sets; that is a limit statement.  At a finite
@@ -48,10 +49,11 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
 
     return FunctionFamily(
         f.domain,
-        lambda n: f.rule(n).add(g.rule(n)),
+        lambda n: PiecewiseLinear.add(*meet(f.rule(n), g.rule(n))),
         tag=f"sum({f.tag}, {g.tag})",
         min_index=min_index,
-        increment=lambda n: f.increment(n).add(g.increment(n)),
+        increment=lambda n: PiecewiseLinear.add(
+            *meet(f.increment(n), g.increment(n))),
         value=lambda n, x: f.value(n, x) + g.value(n, x),
         step_bound=step_bound,
     )
@@ -159,12 +161,8 @@ def default_grid(domain, points: int = 1000, q_max: int = 20):
         for p in range(q + 1):
             if gcd(p, q) == 1:
                 fractions.add(Fraction(p, q))
-    exact = is_exact(lo) and is_exact(hi)
-    out = []
-    for t in sorted(fractions):
-        x = lo + (hi - lo) * t
-        out.append(x if exact else float(x))
-    return out
+    # float ends make every point a float
+    return [lo + (hi - lo) * t for t in sorted(fractions)]
 
 
 @dataclass(frozen=True)
@@ -199,14 +197,9 @@ def divergence_estimate(fam: FunctionFamily, M=10, N=30,
                         grid=None) -> DivergenceEstimate:
     if not M > 0:
         raise ParameterError("M must be positive")
-    if N < fam.min_index:
-        raise ParameterError(f"N must be >= {fam.min_index}")
-    lo, hi = fam.domain
     if grid is None:
         grid = default_grid(fam.domain)
-    for x in grid:
-        if not lo <= x <= hi:
-            raise ParameterError(f"grid point {x} outside domain")
+    fam._check(N, *grid)
     values = tuple(fam.value(N, x) for x in grid)
     flags = tuple(v > M for v in values)
     return DivergenceEstimate(points=tuple(grid), values=values, flags=flags,
@@ -273,6 +266,10 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
         grid_note = f"{len(subintervals)} caller-supplied subintervals"
     if not subintervals:
         raise ParameterError("need at least one subinterval")
+    lo, hi = fam.domain
+    for x, y in subintervals:
+        if not lo <= x < y <= hi:
+            raise ParameterError(f"subinterval [{x}, {y}] not in [{lo}, {hi}]")
 
     tail_cache = {}
 

@@ -281,6 +281,21 @@ def test_constant_family():
     assert fam.value(7, 0) == 7
 
 
+@pytest.mark.parametrize("build, n, x", [
+    (lambda: jarnik_family(JarnikParams(Fraction(1, 2))), 5, 2),
+    (lambda: liouville_family(), 5, 1.5),
+    (lambda: constant_family(DOMAIN, lambda n: n), 3, 7),
+    (lambda: constant_family(DOMAIN, lambda n: n), 3, Fraction(-1, 3)),
+], ids=["jarnik", "liouville", "constant-above", "constant-below"])
+def test_value_outside_domain_rejected(build, n, x):
+    # value checks x as rule(n).eval does, hook or no hook
+    fam = build()
+    with pytest.raises(ParameterError, match="outside domain"):
+        fam.rule(n).eval(x)
+    with pytest.raises(ParameterError, match="outside domain"):
+        fam.value(n, x)
+
+
 def test_family_memoizes_rule():
     calls = []
 

@@ -44,6 +44,24 @@ def test_sum_family_increments_compose(tz, lv):
         assert inc.eval(x) == pytest.approx(ref.eval(x))
 
 
+def test_anydh_increments_meet_as_floats():
+    # the exact nest summand is converted to float before the knot merge
+    fam = anydh_family(HALF)
+    for n in range(1, 8):
+        for inc in (fam.increment(n), fam.rule(n)):
+            assert {type(v) for v in inc.xs + inc.ys} == {float}
+
+
+def test_sum_keeps_exact_summand_finer_than_float_resolution(lv):
+    # at theta = 1/5 the nest's level-10 knots are closer together than
+    # float resolution, so that summand meets the float one exactly
+    tz5 = tietze_family(cantor_nest(CantorParams(Fraction(1, 5))))
+    assert tz5.increment(10).as_float() is None
+    s = sum_family(tz5, lv)
+    assert s.increment(10) == tz5.increment(10).add(lv.increment(10))
+    assert {type(v) for v in s.increment(9).xs} == {float}
+
+
 def test_sum_family_rejects_domain_mismatch(tz):
     other = constant_family((0, 2), lambda n: n)
     with pytest.raises(DomainMismatchError):
@@ -204,6 +222,16 @@ def test_subinterval_validation(tz):
         max_family_check(tz, n_max=-1)
     with pytest.raises(ParameterError):
         max_family_check(tz, subintervals=[])
+
+
+@pytest.mark.parametrize("bad", [(HALF, Fraction(1, 3)), (HALF, HALF),
+                                 (Fraction(-1, 2), HALF), (HALF, 2)])
+def test_subintervals_checked_before_the_scan(bad):
+    fam = liouville_family()
+    with pytest.raises(ParameterError, match="subinterval"):
+        max_family_check(fam, M=10 ** 6, n_max=50,
+                         subintervals=[(0, 1), bad])
+    assert not fam._increments and not fam._memo
 
 
 # ----------------------------------------------------------------------
