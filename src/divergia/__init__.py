@@ -16,8 +16,8 @@ from .intervals import IntervalUnion, hausdorff_distance
 from .jarnik import JarnikParams, LiouvilleParams, jarnik_family, \
     liouville_family, y_set, z_set
 from .maxfam import DivergenceEstimate, MaxFamilyReport, anydh_family, \
-    default_grid, divergence_estimate, max_family_check, product_family, \
-    sum_family, superlevel_set
+    default_grid, divergence_estimate, max_family_check, sum_family, \
+    superlevel_set
 from .qam import AffineOf, ComparabilityVerdict, Exp, Generator, \
     GeneratorFamily, Log, Power, RatioReport, arrow_family, comparability, \
     constant_generator_family, exp_rate_family, power_mean, \
@@ -36,8 +36,8 @@ __all__ = [
     "y_set", "z_set",
     "DimensionEstimate", "box_count", "box_dimension", "moran_dimension",
     "DivergenceEstimate", "MaxFamilyReport", "anydh_family", "default_grid",
-    "divergence_estimate", "max_family_check", "product_family",
-    "sum_family", "superlevel_set",
+    "divergence_estimate", "max_family_check", "sum_family",
+    "superlevel_set",
     "Generator", "Power", "Log", "Exp", "AffineOf", "GeneratorFamily",
     "RatioReport", "ComparabilityVerdict", "arrow_family", "comparability",
     "constant_generator_family", "exp_rate_family", "power_mean",

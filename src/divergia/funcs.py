@@ -251,7 +251,7 @@ def bump_from_sets(outer: IntervalUnion, inner: IntervalUnion) -> PiecewiseLinea
             "inner set is not inside the relative interior of the outer set")
     lo, hi = outer.domain
     inner_by_outer = {}
-    starts = [a for a, _ in outer.components]
+    starts = outer._starts  # cached by the nesting check above
     for comp in inner.components:
         i = bisect.bisect_right(starts, comp[0]) - 1
         inner_by_outer.setdefault(i, []).append(comp)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import ParameterError
 from .funcs import FunctionFamily, bump_from_sets
 from .intervals import IntervalUnion
-from .scalars import EXACT_TYPES, as_integer, is_exact
+from .scalars import EXACT_TYPES, TOL, as_integer, is_exact
 
 _DOMAIN = (0, 1)
 
@@ -138,12 +138,19 @@ def _level_sums(constants):
     increment is the bump sum of level q with ``constants(q)`` = (r_core,
     r_support, height).  Each level's reader is made once per family, under
     the family's lock; a level whose supports partially merge reads the
-    family's memoized increment instead."""
+    family's memoized increment instead.  The increment of a level whose
+    float radii are at most TOL apart raises ParameterError: its sets could
+    not tell the core from the support."""
     readers = {}
 
     def increment(q):
         # scaled even by height 1: Liouville's float 1.0 makes its values float
         r_core, r_support, height = constants(q)
+        gap = r_support - r_core
+        if not is_exact(gap) and gap <= TOL:
+            raise ParameterError(
+                f"level q = {q}: radii {gap:.3g} apart, at or below float "
+                f"resolution {TOL:g}")
         return bump_from_sets(_centered_set(q, r_support),
                               _centered_set(q, r_core)).scale(height)
 

@@ -11,14 +11,14 @@ integral bounds whose tail provably cannot close the remaining gap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Optional
 
 from .errors import ParameterError, require_same_domain
 from .funcs import (FunctionFamily, MonotoneReport, PiecewiseLinear,
-                    _merge, constant_family, monotone_check, tietze_family)
+                    constant_family, monotone_check, tietze_family)
 from .ifs import CantorParams, cantor_nest
 from .intervals import IntervalUnion
 from .jarnik import LiouvilleParams, liouville_family
@@ -30,8 +30,9 @@ from .scalars import format_scalar, is_exact, meet
 # ----------------------------------------------------------------------
 
 def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
-    """Indexwise sum, with ``value`` equal to the sum of the inputs' values
-    and knots merged once the summands meet by ``scalars.meet``.
+    """Indexwise sum over the indices both inputs have, with ``value``
+    equal to the sum of the inputs' values and knots merged once the
+    summands meet by ``scalars.meet``.
 
     For families bounded below the divergence set of the sum is the union
     of the inputs' divergence sets; that is a limit statement.  At a finite
@@ -41,6 +42,9 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
     """
     require_same_domain(f, g)
     min_index = max(f.min_index, g.min_index)
+    # a max_index of None is unbounded
+    max_index = min((k for k in (f.max_index, g.max_index) if k is not None),
+                    default=None)
 
     step_bound = None
     if f.step_bound is not None and g.step_bound is not None:
@@ -51,79 +55,12 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
         f.domain,
         lambda n: PiecewiseLinear.add(*meet(f.rule(n), g.rule(n))),
         tag=f"sum({f.tag}, {g.tag})",
-        min_index=min_index,
+        min_index=min_index, max_index=max_index,
         increment=lambda n: PiecewiseLinear.add(
             *meet(f.increment(n), g.increment(n))),
         value=lambda n, x: f.value(n, x) + g.value(n, x),
         step_bound=step_bound,
     )
-
-
-def product_family(f: FunctionFamily, g: FunctionFamily,
-                   proviso: Optional[dict] = None) -> FunctionFamily:
-    """Indexwise product, interpolated on a midpoint-refined knot grid.
-
-    The divergence set of the product equals the union of the inputs'
-    only under a side condition (at each divergence point of one family
-    the other must tend to a positive, possibly infinite, limit).  Passing
-    ``proviso`` = {"M":…, "N":…, "grid":…, "floor":…} runs a finite
-    surrogate of that condition; a failure attaches a warning to
-    ``family.info`` instead of raising, since the caller asserts it.
-    """
-    require_same_domain(f, g)
-    min_index = max(f.min_index, g.min_index)
-    info = {}
-
-    def rule(n):
-        pf, pg = f.rule(n), g.rule(n)
-        base = list(_merge(pf, pg))
-        xs, ys = [], []
-        for (a, fa, ga), (b, _, _) in zip(base, base[1:]):
-            xs.append(a)
-            ys.append(fa * ga)
-            # knots closer than float resolution have no midpoint between
-            mid = a + (b - a) / 2
-            if a < mid < b:
-                xs.append(mid)
-                ys.append(pf.eval(mid) * pg.eval(mid))
-        x, fx, gx = base[-1]
-        xs.append(x)
-        ys.append(fx * gx)
-        err = max((abs(fb - fa) * abs(gb - ga) / 4
-                   for (_, fa, ga), (_, fb, gb) in zip(base, base[1:])),
-                  default=0)
-        info[("interp_error", n)] = err
-        return PiecewiseLinear(xs, ys)
-
-    fam = FunctionFamily(
-        f.domain, rule,
-        tag=f"product({f.tag}, {g.tag})",
-        min_index=min_index,
-        value=lambda n, x: f.value(n, x) * g.value(n, x),
-        info=info,
-    )
-
-    if proviso is not None:
-        M = proviso.get("M", 10)
-        N = proviso.get("N", 30)
-        floor = proviso.get("floor", 1e-6)
-        grid = proviso.get("grid") or default_grid(f.domain)
-        bad = []
-        for a, b in ((f, g), (g, f)):
-            for x in grid:
-                if a.value(N, x) > M:
-                    lowest = min(b.value(n, x)
-                                 for n in range(max(N // 2, b.min_index),
-                                                N + 1))
-                    if not lowest > floor:
-                        bad.append((x, lowest))
-                        break
-        if bad:
-            info["proviso_warning"] = (
-                f"companion family dips to {bad[0][1]} near x = {bad[0][0]} "
-                f"where the other diverges; the union identity for the "
-                f"divergence sets is not guaranteed")
-    return fam
 
 
 # ----------------------------------------------------------------------
@@ -255,8 +192,7 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
     """Per-subinterval search for the smallest n whose integral exceeds M,
     scanning incrementally so that deep indices are touched only when a
     subinterval actually needs them."""
-    if n_max < fam.min_index:
-        raise ParameterError(f"n_max must be >= {fam.min_index}")
+    fam._check(n_max)
     if subintervals is None:
         cuts = default_grid(fam.domain, points=10, q_max=1)
         subintervals = list(zip(cuts, cuts[1:]))

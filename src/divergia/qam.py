@@ -163,14 +163,14 @@ class GeneratorFamily:
             raise ParameterError("generator family needs lo < hi")
 
 
-def exp_rate_family(domain=(0.0, 1.0)) -> GeneratorFamily:
-    """F_n = Exp(n); the canonical family whose means tend to max."""
-    return GeneratorFamily(rule=lambda n: Exp(n), domain=domain)
+def exp_rate_family() -> GeneratorFamily:
+    """F_n = Exp(n) on [0, 1], whose means tend to max."""
+    return GeneratorFamily(rule=lambda n: Exp(n), domain=(0.0, 1.0))
 
 
-def power_rate_family(domain=(1.0, 2.0)) -> GeneratorFamily:
-    """F_n = Power(n) on a positive domain."""
-    return GeneratorFamily(rule=lambda n: Power(n), domain=domain)
+def power_rate_family() -> GeneratorFamily:
+    """F_n = Power(n) on the positive domain [1, 2]."""
+    return GeneratorFamily(rule=lambda n: Power(n), domain=(1.0, 2.0))
 
 
 def constant_generator_family(gen: Generator, domain) -> GeneratorFamily:

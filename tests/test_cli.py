@@ -222,6 +222,17 @@ def test_parameter_error_exit_code(capsys):
     assert json.loads(err)["error"] == "parameter"
 
 
+@pytest.mark.parametrize("argv", [
+    "check --family jarnik --theta 1/2 --N 200 --q-max 20",
+    "anydh --theta 1/2 --N 60",
+    "jarnik --theta 3/10 --n 37",
+])
+def test_index_past_the_family_is_a_parameter_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "parameter"
+
+
 def test_bad_number_exit_code(capsys):
     code, out, err = run(capsys, "cantor", "--theta", "abc")
     assert code == 2

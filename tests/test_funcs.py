@@ -198,6 +198,18 @@ def test_monotone_check_matches_sorted_union_reference(base, steps):
         repr(_reference_monotone_check(fam, len(rules)))
 
 
+def test_add_keeps_an_exact_knot_and_its_float_rounding():
+    # Fraction(1, 3) and its rounding 1/3 are distinct knots of the sum, in
+    # increasing order, and each takes the values eval gives there
+    exact = PiecewiseLinear((0, Fraction(1, 3), 1), (0, 1, 0))
+    rounded = PiecewiseLinear((0, 1 / 3, 1), (0, 1, 0))
+    s = exact.add(rounded)
+    assert s.xs == (0, 1 / 3, Fraction(1, 3), 1)
+    assert [type(x) for x in s.xs] == [int, float, Fraction, int]
+    for x, y in zip(s.xs, s.ys):
+        assert y == exact.eval(x) + rounded.eval(x)
+
+
 def test_merge_calls_no_eval(monkeypatch):
     def refuse(self, x):
         raise AssertionError("eval called at a merged knot")

@@ -233,6 +233,25 @@ def test_index_past_q_max_fails_before_any_level_is_built(build,
             call(6)
 
 
+@pytest.mark.parametrize("build, q", [
+    (lambda: jarnik_family(JarnikParams(Fraction(3, 10))), 37),
+    (lambda: liouville_family(LiouvilleParams(q_max=500)), 180),
+], ids=["jarnik", "liouville"])
+def test_radii_below_float_resolution_fail_before_the_level_is_built(
+        build, q, monkeypatch):
+    # float radii whose gap r_support - r_core is at most TOL cannot be told
+    # apart by the level's sets; the level before is still built
+    fam = build()
+    assert fam.increment(q - 1).max_value() > 0
+
+    def build_set(q, radius):
+        raise AssertionError("a level's sets were built")
+
+    monkeypatch.setattr("divergia.jarnik._centered_set", build_set)
+    with pytest.raises(ParameterError, match=rf"q = {q}\b.*e-13"):
+        fam.increment(q)
+
+
 # ----------------------------------------------------------------------
 # pointwise level values
 # ----------------------------------------------------------------------

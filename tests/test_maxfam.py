@@ -3,11 +3,11 @@ from fractions import Fraction
 import pytest
 
 from divergia import (CantorParams, DomainMismatchError, FunctionFamily,
-                      IntervalUnion, LiouvilleParams, ParameterError,
+                      JarnikParams, LiouvilleParams, ParameterError,
                       PiecewiseLinear, anydh_family, cantor_nest,
                       constant_family, default_grid, divergence_estimate,
-                      liouville_family, max_family_check, monotone_check,
-                      product_family, sum_family, superlevel_set,
+                      jarnik_family, liouville_family, max_family_check,
+                      monotone_check, sum_family, superlevel_set,
                       tietze_family)
 
 DOMAIN = (0, 1)
@@ -62,51 +62,25 @@ def test_sum_keeps_exact_summand_finer_than_float_resolution(lv):
     assert {type(v) for v in s.increment(9).xs} == {float}
 
 
+@pytest.mark.parametrize("f_max, g_max, want", [
+    (None, None, None), (None, 30, 30), (40, None, 40), (40, 30, 30)])
+def test_sum_family_keeps_the_smaller_max_index(f_max, g_max, want):
+    def build(max_index):
+        return FunctionFamily(
+            DOMAIN, lambda n: PiecewiseLinear.constant(DOMAIN, n),
+            max_index=max_index)
+
+    assert sum_family(build(f_max), build(g_max)).max_index == want
+
+
+def test_anydh_stops_where_its_liouville_part_stops():
+    assert anydh_family(HALF).max_index == LiouvilleParams().q_max
+
+
 def test_sum_family_rejects_domain_mismatch(tz):
     other = constant_family((0, 2), lambda n: n)
     with pytest.raises(DomainMismatchError):
         sum_family(tz, other)
-
-
-def test_product_family_interpolation_error_tracked():
-    f = constant_family(DOMAIN, lambda n: n)
-    tent = PiecewiseLinear((0, HALF, 1), (0, 1, 0))
-    from divergia import FunctionFamily
-    g = FunctionFamily(DOMAIN, lambda n: tent)
-    p = product_family(f, g)
-    r = p.rule(2)
-    assert r.eval(HALF) == 2
-    assert p.info[("interp_error", 2)] >= 0
-    # constant times piecewise linear stays exact despite interpolation
-    assert r.eval(Fraction(1, 4)) == 1
-
-
-def test_product_family_knots_below_float_resolution():
-    # an exact knot and its float rounding merge into two knots whose float
-    # midpoint rounds onto one of them; no midpoint goes between them
-    exact = PiecewiseLinear((0, Fraction(1, 3), 1), (0, 1, 0))
-    rounded = PiecewiseLinear((0, 1 / 3, 1), (0, 1, 0))
-    f = FunctionFamily(DOMAIN, lambda n: exact, max_index=1)
-    g = FunctionFamily(DOMAIN, lambda n: rounded, max_index=1)
-    p = product_family(f, g)
-    r = p.rule(1)
-    assert 1 / 3 in r.xs and Fraction(1, 3) in r.xs
-    assert r.xs.index(Fraction(1, 3)) == r.xs.index(1 / 3) + 1
-    for x in r.xs:
-        assert abs(r.eval(x) - exact.eval(x) * rounded.eval(x)) <= \
-            p.info[("interp_error", 1)] + 1e-12
-
-
-def test_product_family_proviso_warning():
-    # one factor diverges where the other vanishes identically
-    diverges = constant_family(DOMAIN, lambda n: n)
-    vanishes = constant_family(DOMAIN, lambda n: 0)
-    p = product_family(diverges, vanishes,
-                       proviso={"M": 5, "N": 10, "grid": [HALF]})
-    assert "proviso_warning" in p.info
-    ok = product_family(diverges, diverges,
-                        proviso={"M": 5, "N": 10, "grid": [HALF]})
-    assert "proviso_warning" not in ok.info
 
 
 # ----------------------------------------------------------------------
@@ -231,6 +205,18 @@ def test_subintervals_checked_before_the_scan(bad):
     with pytest.raises(ParameterError, match="subinterval"):
         max_family_check(fam, M=10 ** 6, n_max=50,
                          subintervals=[(0, 1), bad])
+    assert not fam._increments and not fam._memo
+
+
+@pytest.mark.parametrize("build, M, n_max", [
+    (liouville_family, 10 ** 6, 60),
+    (lambda: jarnik_family(JarnikParams(HALF, q_max=20)), 10, 200),
+    (lambda: anydh_family(HALF), 10, 60),
+], ids=["liouville", "jarnik", "anydh"])
+def test_index_past_max_index_fails_before_the_scan(build, M, n_max):
+    fam = build()
+    with pytest.raises(ParameterError, match="exceeds q_max"):
+        max_family_check(fam, M=M, n_max=n_max)
     assert not fam._increments and not fam._memo
 
 
