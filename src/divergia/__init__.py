@@ -10,8 +10,7 @@ from .errors import ConstructionError, DivergiaError, DomainMismatchError, \
     ParameterError
 from .funcs import FunctionFamily, MonotoneReport, PiecewiseLinear, \
     bump_from_sets, constant_family, monotone_check, tietze_family
-from .ifs import CantorNest, CantorParams, Similarity, apply_ifs, \
-    cantor_maps, cantor_nest, uniform_cantor
+from .ifs import CantorNest, CantorParams, cantor_nest, uniform_cantor
 from .intervals import IntervalUnion, hausdorff_distance
 from .jarnik import JarnikParams, LiouvilleParams, jarnik_family, \
     liouville_family, y_set, z_set
@@ -30,8 +29,7 @@ __all__ = [
     "IntervalUnion", "hausdorff_distance",
     "PiecewiseLinear", "FunctionFamily", "MonotoneReport",
     "bump_from_sets", "constant_family", "monotone_check", "tietze_family",
-    "Similarity", "CantorParams", "CantorNest", "apply_ifs", "cantor_maps",
-    "cantor_nest", "uniform_cantor",
+    "CantorParams", "CantorNest", "cantor_nest", "uniform_cantor",
     "JarnikParams", "LiouvilleParams", "jarnik_family", "liouville_family",
     "y_set", "z_set",
     "DimensionEstimate", "box_count", "box_dimension", "moran_dimension",

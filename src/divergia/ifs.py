@@ -1,4 +1,4 @@
-"""Contracting similarities on [0, 1] and the two-map Cantor-type nest.
+"""The two-map Cantor-type nest on [0, 1].
 
 The nest is driven by the pair L(x) = m*(x + eps), R(x) = 1 - L(x) with
 m = (1/2)^(1/theta); their images of [0, 1] are disjoint exactly when
@@ -14,29 +14,9 @@ import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ConstructionError, ParameterError
+from .errors import ParameterError
 from .intervals import IntervalUnion
 from .scalars import as_integer, is_exact
-
-
-@dataclass(frozen=True)
-class Similarity:
-    """Affine map x -> ratio * x + offset with |ratio| < 1."""
-
-    ratio: object
-    offset: object
-
-    def __post_init__(self):
-        if not 0 < abs(self.ratio) < 1:
-            raise ParameterError(
-                f"similarity ratio must satisfy 0 < |c| < 1, got {self.ratio}")
-
-    def __call__(self, x):
-        return self.ratio * x + self.offset
-
-    def image(self, interval):
-        a, b = (self(interval[0]), self(interval[1]))
-        return (a, b) if a <= b else (b, a)
 
 
 def _ratio_for(theta):
@@ -82,38 +62,20 @@ class CantorParams:
         return (0 * one, one)
 
 
-def cantor_maps(p: CantorParams):
-    """The pair (left, right) of similarities; their images of [0, 1] are
-    [m*eps, m*(1+eps)] and its reflection, which are disjoint."""
-    m, eps = p.m, p.eps
-    left = Similarity(m, m * eps)
-    right = Similarity(-m, 1 - m * eps)
-    return left, right
-
-
-def apply_ifs(maps, A: IntervalUnion) -> IntervalUnion:
-    """Union of the images of A under all maps (one construction step)."""
-    lo, hi = A.domain
-    comps = []
-    for f in maps:
-        for comp in A.components:
-            a, b = f.image(comp)
-            if a < lo or b > hi:
-                raise ConstructionError(
-                    f"image [{a}, {b}] escapes domain [{lo}, {hi}]")
-            comps.append((a, b))
-    return IntervalUnion(A.domain, comps, exact=A.exact)
-
-
 class CantorNest:
-    """Nested closed sets: level 0 is [0, 1], each next level is the image
-    of the previous one under both maps.
+    """Nested closed sets: level n is the union of the images of [0, 1]
+    under the 2^n compositions of L and R.
 
-    Besides materializing whole levels, the nest answers local queries
-    (the deepest component of a level up to n containing a point, with its
-    two children) by one descent of the binary address of the point
-    through at most n levels; level n is never built for that, so a
-    pointwise value at index n costs one descent of n levels.
+    One rule, ``_children``, takes a composed map x -> ratio*x + offset to
+    its two child maps and their images of [0, 1], left to right.  Levels
+    grow the composed maps of the deepest level built, and
+    ``uniform_cantor`` grows them too.  Besides materializing whole levels,
+    the nest answers local queries (the deepest component of a level up
+    to n containing a point, with its two children) by one descent of the
+    binary address of the point through at most n levels; level n is
+    never built for that, so a pointwise value at index n costs one
+    descent of n levels.  A float nest descends through ``_children``
+    itself, so its components are components of the levels.
 
     On an exact nest (theta = 1/k, so m = 2^-k) the descent runs on
     integers: with x = X/D over D = den(x) den(eps), the inverse maps
@@ -121,18 +83,19 @@ class CantorNest:
     ((D - X) << k) - E, where E = eps D, and x stays in the nest for one
     more level exactly while one of them lies in [0, D].  Only the exit
     level's component and its two children are built, once, from the
-    depth, the orientation and the last numerator.  A float nest walks
-    the composed similarities instead.
+    depth, the orientation and the last numerator.
     """
 
     def __init__(self, params: CantorParams):
         self.params = params
-        self.left, self.right = cantor_maps(params)
-        self._levels = {0: IntervalUnion.full(params.domain,
-                                              exact=params.exact)}
+        m = params.m
+        self._m_offsets = (m, m * params.eps, 1 - m * params.eps)
+        self._root = (1, 0) if params.exact else (1.0, 0.0)
+        self._maps = [self._root]
+        self._levels = [IntervalUnion.full(params.domain, exact=params.exact)]
         self._lock = threading.Lock()
         if params.exact:
-            self._shift = params.m.denominator.bit_length() - 1
+            self._shift = m.denominator.bit_length() - 1
             self._eps = (params.eps.numerator, params.eps.denominator)
 
     def __call__(self, n: int) -> IntervalUnion:
@@ -142,11 +105,13 @@ class CantorNest:
         if n < 0:
             raise ParameterError("level index must be >= 0")
         with self._lock:
-            top = max(self._levels)
-            while top < n:
-                self._levels[top + 1] = apply_ifs(
-                    (self.left, self.right), self._levels[top])
-                top += 1
+            while len(self._levels) <= n:
+                children = [child for ratio, offset in self._maps
+                            for child in self._children(ratio, offset)]
+                self._maps = [f for f, _ in children]
+                self._levels.append(IntervalUnion(
+                    self.params.domain, [iv for _, iv in children],
+                    exact=self.params.exact))
             return self._levels[n]
 
     def measure_level(self, n: int):
@@ -159,15 +124,14 @@ class CantorNest:
         return m * self.params.eps / (1 - m)
 
     def _children(self, ratio, offset):
-        """Child intervals of the component that is the image of [0, 1]
-        under x -> ratio*x + offset."""
-        out = []
-        for f in (self.left, self.right):
-            c, t = ratio * f.ratio, ratio * f.offset + offset
-            a, b = (t, c + t) if c >= 0 else (c + t, t)
-            out.append(((c, t), (a, b)))
-        out.sort(key=lambda item: item[1][0])
-        return out
+        """The maps x -> ratio*(m*x + m*eps) + offset and x -> ratio*(1 -
+        m*eps - m*x) + offset, each with its image of [0, 1], ordered left
+        to right by the sign of ratio; the images are disjoint."""
+        m, me, rest = self._m_offsets
+        c, t, u = ratio * m, ratio * me + offset, ratio * rest + offset
+        if ratio > 0:
+            return [((c, t), (t, c + t)), ((-c, u), (u - c, u))]
+        return [((-c, u), (u, u - c)), ((c, t), (c + t, t))]
 
     def deepest_component(self, n: int, x):
         """Deepest level k <= n whose component contains x, as (k, component,
@@ -218,27 +182,20 @@ class CantorNest:
 
     def _walk(self, n, x):
         # the descent of deepest_component through composed similarities
-        ratio, offset = 1.0, 0.0
         interval = self.params.domain
-        children = self._children(ratio, offset)
+        children = self._children(*self._root)
         for k in range(n):
-            for (c, t), (a, b) in children:
+            for f, (a, b) in children:
                 if a <= x <= b:
-                    ratio, offset, interval = c, t, (a, b)
+                    interval = (a, b)
                     break
             else:
                 return k, interval, [iv for _, iv in children]
-            children = self._children(ratio, offset)
+            children = self._children(*f)
         return n, interval, [iv for _, iv in children]
 
-    def component_and_children(self, n: int, x):
-        """Component of level n containing x together with its two child
-        components at level n + 1, or None when x is off level n."""
-        k, interval, children = self.deepest_component(n, x)
-        return (interval, children) if k == n else None
-
     def contains(self, n: int, x) -> bool:
-        return self.component_and_children(n, x) is not None
+        return self.deepest_component(n, x)[0] == n
 
 
 def cantor_nest(p: CantorParams) -> CantorNest:
@@ -247,18 +204,20 @@ def cantor_nest(p: CantorParams) -> CantorNest:
 
 
 def uniform_cantor(p: CantorParams, n: int) -> IntervalUnion:
-    """Level n of the equivalent middle-removal construction.
+    """Level n of the equivalent middle-removal construction: the images of
+    [a, 1 - a], a = m*eps/(1-m), under the 2^n composed maps of the nest.
 
-    Starts from [m*eps/(1-m), 1 - m*eps/(1-m)] and applies both maps; the
-    first removed middle has length (1-2m)(1-m-2m*eps)/(1-m), and every
-    level is contained in the corresponding level of the plain nest.
+    The first removed middle has length (1-2m)(1-m-2m*eps)/(1-m), and
+    every level is contained in the corresponding level of the plain nest.
     """
     if n < 0:
         raise ParameterError("level index must be >= 0")
-    m, eps = p.m, p.eps
-    a = m * eps / (1 - m)
-    current = IntervalUnion(p.domain, [(a, 1 - a)], exact=p.exact)
-    maps = cantor_maps(p)
+    nest = CantorNest(p)
+    maps = [nest._root]
     for _ in range(n):
-        current = apply_ifs(maps, current)
-    return current
+        maps = [f for ratio, offset in maps
+                for f, _ in nest._children(ratio, offset)]
+    a = nest.fixed_point_left()
+    comps = [(r * a + t, r * (1 - a) + t) if r > 0 else
+             (r * (1 - a) + t, r * a + t) for r, t in maps]
+    return IntervalUnion(p.domain, comps, exact=p.exact)

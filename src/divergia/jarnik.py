@@ -34,7 +34,7 @@ def _radius(q: int, alpha, extra_num: int = 1, extra_den: int = 1):
 def _centered_set(q: int, radius) -> IntervalUnion:
     # a float radius puts the whole set, domain endpoints included, on the
     # float backend
-    exact = isinstance(radius, Fraction)
+    exact = is_exact(radius)
     lo, hi = _DOMAIN if exact else map(float, _DOMAIN)
     comps = []
     for p in range(q + 1):
@@ -97,7 +97,7 @@ def _level_reader(q, r_core, r_support, height=1):
     e = |a q - p b| is compared with the radii by cross-multiplying, so a
     Fraction is built only on a ramp.
     """
-    exact = isinstance(r_support, Fraction)
+    exact = is_exact(r_support)
     spacing = Fraction(1, q) if exact else 1 / q
     if 2 * r_core >= spacing:
         return lambda x: height
@@ -138,26 +138,30 @@ def _level_sums(constants):
     increment is the bump sum of level q with ``constants(q)`` = (r_core,
     r_support, height).  Each level's reader is made once per family, under
     the family's lock; a level whose supports partially merge reads the
-    family's memoized increment instead.  The increment of a level whose
-    float radii are at most TOL apart raises ParameterError: its sets could
-    not tell the core from the support."""
+    family's memoized increment instead.  Both read a level whose float
+    radii are at most TOL apart as a ParameterError: its sets could not
+    tell the core from the support."""
     readers = {}
 
-    def increment(q):
-        # scaled even by height 1: Liouville's float 1.0 makes its values float
+    def checked(q):
         r_core, r_support, height = constants(q)
         gap = r_support - r_core
         if not is_exact(gap) and gap <= TOL:
             raise ParameterError(
                 f"level q = {q}: radii {gap:.3g} apart, at or below float "
                 f"resolution {TOL:g}")
+        return r_core, r_support, height
+
+    def increment(q):
+        # scaled even by height 1: Liouville's float 1.0 makes its values float
+        r_core, r_support, height = checked(q)
         return bump_from_sets(_centered_set(q, r_support),
                               _centered_set(q, r_core)).scale(height)
 
     def reader(fam, q):
         with fam._lock:
             if q not in readers:
-                readers[q] = _level_reader(q, *constants(q)) \
+                readers[q] = _level_reader(q, *checked(q)) \
                     or fam.increment(q).eval
             return readers[q]
 

@@ -226,6 +226,9 @@ def test_parameter_error_exit_code(capsys):
     "check --family jarnik --theta 1/2 --N 200 --q-max 20",
     "anydh --theta 1/2 --N 60",
     "jarnik --theta 3/10 --n 37",
+    # the pointwise path of iset reads the same float radii
+    "iset --family jarnik --theta 3/10 --N 40",
+    "iset --family liouville --N 200 --q-max 500",
 ])
 def test_index_past_the_family_is_a_parameter_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -14,6 +14,7 @@ from divergia import (CantorNest, CantorParams, ConstructionError,
                       JarnikParams, LiouvilleParams, MonotoneReport,
                       ParameterError, PiecewiseLinear,
                       bump_from_sets, cantor_nest, constant_family,
+                      default_grid,
                       jarnik_family, liouville_family, monotone_check,
                       sum_family, tietze_family)
 from divergia.scalars import TOL
@@ -428,7 +429,7 @@ def test_partial_sums_values_on_and_off_nest(nest_family):
 
 
 @pytest.mark.parametrize("theta, tol", [
-    (Fraction(1, 2), 0), (Fraction(1, 3), 0), (0.4, 1e-9)],
+    (Fraction(1, 2), 0), (Fraction(1, 3), 0), (0.4, 1e-14)],
     ids=["half", "third", "float"])
 def test_descent_value_matches_materialized(theta, tol):
     nest = cantor_nest(CantorParams(theta))
@@ -450,6 +451,24 @@ def test_descent_value_matches_materialized(theta, tol):
                 assert fam.value(n, x) == pytest.approx(f.eval(x), abs=tol)
             else:
                 assert fam.value(n, x) == f.eval(x)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.4, 0.45, 0.7])
+def test_float_descent_walks_the_levels(theta):
+    # the float descent and the levels compose the same maps, so every
+    # component the descent meets is a component of its level and the
+    # pointwise value matches the materialized rule to rounding
+    nest = cantor_nest(CantorParams(theta))
+    fam = tietze_family(nest)
+    grid = default_grid((0.0, 1.0))
+    levels = [set(nest.level(k).components) for k in range(10)]
+    for n in range(9):
+        f = fam.rule(n)
+        for x in grid + list(f.xs):
+            k, component, children = nest.deepest_component(n, x)
+            assert component in levels[k]
+            assert all(c in levels[k + 1] for c in children)
+            assert fam.value(n, x) == pytest.approx(f.eval(x), abs=1e-14)
 
 
 def test_value_is_one_descent(monkeypatch):

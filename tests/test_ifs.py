@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divergia import (CantorParams, ConstructionError, IntervalUnion,
-                      ParameterError, Similarity, apply_ifs, cantor_maps,
-                      cantor_nest, hausdorff_distance, uniform_cantor)
+from divergia import (CantorParams, ParameterError, cantor_nest,
+                      hausdorff_distance, uniform_cantor)
 
 HALF = Fraction(1, 2)
 
@@ -22,38 +21,6 @@ LEVEL_1 = frac_comps([(1, 3), (5, 7)], 8)
 LEVEL_2 = frac_comps([(5, 7), (9, 11), (21, 23), (25, 27)], 32)
 LEVEL_3 = frac_comps([(21, 23), (25, 27), (37, 39), (41, 43),
                       (85, 87), (89, 91), (101, 103), (105, 107)], 128)
-
-
-# ----------------------------------------------------------------------
-# similarities
-# ----------------------------------------------------------------------
-
-def test_similarity_evaluation_and_image():
-    f = Similarity(Fraction(1, 4), Fraction(1, 8))
-    assert f(0) == Fraction(1, 8)
-    assert f.image((0, 1)) == (Fraction(1, 8), Fraction(3, 8))
-    g = Similarity(-Fraction(1, 4), Fraction(7, 8))
-    assert g.image((0, 1)) == (Fraction(5, 8), Fraction(7, 8))
-
-
-def test_similarity_ratio_bounds():
-    with pytest.raises(ParameterError):
-        Similarity(1, 0)
-    with pytest.raises(ParameterError):
-        Similarity(0, 0)
-
-
-def test_cantor_maps_images_disjoint():
-    p = CantorParams(HALF)
-    left, right = cantor_maps(p)
-    assert left.image((0, 1)) == (Fraction(1, 8), Fraction(3, 8))
-    assert right.image((0, 1)) == (Fraction(5, 8), Fraction(7, 8))
-
-
-def test_apply_ifs_rejects_escaping_maps():
-    A = IntervalUnion.full((0, 1))
-    with pytest.raises(ConstructionError):
-        apply_ifs([Similarity(HALF, Fraction(3, 4))], A)
 
 
 # ----------------------------------------------------------------------
@@ -141,8 +108,8 @@ def test_descent_matches_materialized_membership(nest):
 def test_descent_children_match_next_level(nest):
     x = Fraction(1, 6)
     for n in range(6):
-        (a, b), children = nest.component_and_children(n, x)
-        assert nest.level(n).contains_point(x)
+        k, (a, b), children = nest.deepest_component(n, x)
+        assert k == n and nest.level(n).contains_point(x)
         nxt = nest.level(n + 1)
         for c in children:
             assert nxt.contains_point(c[0]) and nxt.contains_point(c[1])
@@ -169,8 +136,7 @@ def test_deepest_component_matches_materialized_levels(nest):
                                 if a <= c[0] and c[1] <= b]
 
 
-@pytest.mark.parametrize(
-    "query", ["deepest_component", "component_and_children", "contains"])
+@pytest.mark.parametrize("query", ["deepest_component", "contains"])
 def test_negative_level_rejected(nest, query):
     with pytest.raises(ParameterError, match="level index must be >= 0"):
         getattr(nest, query)(-1, HALF)
@@ -215,11 +181,18 @@ def test_uniform_cantor_inside_nest_with_shrinking_gap():
 # integer descent against the similarity walk
 # ----------------------------------------------------------------------
 
+def reference_maps(nest):
+    """The two maps x -> m*(x + eps) and x -> 1 - m*(x + eps), as pairs
+    (ratio, offset)."""
+    m, eps = nest.params.m, nest.params.eps
+    return (m, m * eps), (-m, 1 - m * eps)
+
+
 def reference_children(nest, ratio, offset):
     """Children of the image of [0, 1] under x -> ratio*x + offset."""
     out = []
-    for f in (nest.left, nest.right):
-        c, t = ratio * f.ratio, ratio * f.offset + offset
+    for r, o in reference_maps(nest):
+        c, t = ratio * r, ratio * o + offset
         a, b = (t, c + t) if c >= 0 else (c + t, t)
         out.append(((c, t), (a, b)))
     out.sort(key=lambda item: item[1][0])
@@ -277,7 +250,8 @@ def nest_points(nest, marks):
     def at_address(bits):
         x = nest.fixed_point_left()
         for bit in reversed(bits):
-            x = (nest.right if bit else nest.left)(x)
+            r, o = reference_maps(nest)[bit]
+            x = r * x + o
         return x
 
     exact = st.one_of(
@@ -297,7 +271,4 @@ def test_descent_matches_similarity_walk(data):
     n = data.draw(st.integers(min_value=0, max_value=60))
     want = reference_deepest_component(nest, n, x)
     assert same(nest.deepest_component(n, x), want)
-    k, interval, children = want
-    pair = (interval, children) if k == n else None
-    assert same(nest.component_and_children(n, x), pair)
-    assert nest.contains(n, x) is (pair is not None)
+    assert nest.contains(n, x) is (want[0] == n)

@@ -252,6 +252,20 @@ def test_radii_below_float_resolution_fail_before_the_level_is_built(
         fam.increment(q)
 
 
+@pytest.mark.parametrize("build, q", [
+    (lambda: jarnik_family(JarnikParams(Fraction(3, 10))), 37),
+    (lambda: liouville_family(LiouvilleParams(q_max=500)), 180),
+], ids=["jarnik", "liouville"])
+def test_radii_below_float_resolution_fail_in_the_pointwise_value(build, q):
+    # the pointwise value reads the same levels as the increments, so it
+    # raises on the same first level; the index before still reads
+    fam = build()
+    for x in (0.3, GOLDEN):
+        assert fam.value(q - 1, x) >= 0
+        with pytest.raises(ParameterError, match=rf"q = {q}\b.*e-13"):
+            fam.value(q + 3, x)
+
+
 # ----------------------------------------------------------------------
 # pointwise level values
 # ----------------------------------------------------------------------
