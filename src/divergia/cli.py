@@ -106,7 +106,7 @@ def cmd_cantor(args):
 #: need a theta
 _FAMILIES = {
     "cantor-tietze": lambda theta, q_max: tietze_family(
-        cantor_nest(CantorParams(theta)), tag=f"cantor-tietze(theta={theta})"),
+        cantor_nest(CantorParams(theta))),
     "liouville": lambda theta, q_max: liouville_family(
         LiouvilleParams(q_max=q_max)),
     "jarnik": lambda theta, q_max: jarnik_family(

@@ -16,8 +16,8 @@ def moran_dimension(ratios) -> float:
     """Unique s >= 0 with sum(c_i ** s) == 1, by bisection.
 
     The sum is strictly decreasing in s, equals len(ratios) >= 1 at s = 0,
-    and drops below 1 once s is large enough; the upper bracket is
-    expanded until it does.
+    and drops below 1 once s is large enough; the upper bracket doubles
+    until it does, with no cap: c ** s underflows long before s overflows.
     """
     ratios = [float(c) for c in ratios]
     if not ratios:
@@ -30,7 +30,7 @@ def moran_dimension(ratios) -> float:
         return math.fsum(c ** s for c in ratios)
 
     lo, hi = 0.0, 1.0
-    while total(hi) > 1 and hi < 1e6:
+    while total(hi) > 1:
         hi *= 2
     for _ in range(200):
         mid = (lo + hi) / 2

@@ -393,56 +393,44 @@ def monotone_check(fam: FunctionFamily, n_max: int) -> MonotoneReport:
     return MonotoneReport(True, n_checked=n_max)
 
 
-def tietze_family(nested, tag="nest-partial-sums") -> FunctionFamily:
-    """Partial sums of canonical bumps over a nested sequence of closed
-    sets D_0 = domain, D_{n+1} inside the relative interior of D_n.
-
-    ``nested(i)`` gives D_i (a ``CantorNest`` or any callable), and
-    rule(n) = sum_{i=0}^{n} bump(D_i, D_{i+1}); on the infinite
+def tietze_family(nest) -> FunctionFamily:
+    """Partial sums of canonical bumps over the levels D_i of a
+    ``CantorNest``: D_0 = domain, D_{n+1} inside the relative interior of
+    D_n, and rule(n) = sum_{i=0}^{n} bump(D_i, D_{i+1}); on the infinite
     intersection the n-th partial sum equals n + 1, and off D_N every
     partial sum stays strictly below N at interior points.
     """
-    d0 = nested(0)
-    domain = d0.domain
-    if d0.components != (tuple(domain),):
-        raise ConstructionError("level 0 of the nest must be the full domain")
+    lo, hi = domain = nest.params.domain
 
     def delta(i):
-        outer, inner = nested(i), nested(i + 1)
         try:
-            return bump_from_sets(outer, inner)
+            return bump_from_sets(nest.level(i), nest.level(i + 1))
         except ConstructionError as err:
             raise ConstructionError(f"level {i}: {err}") from err
 
-    value = None
-    if hasattr(nested, "deepest_component"):
-        lo, hi = domain
+    def value(n, x):
+        # bump i is 1 while x lies in a child of its level-i component;
+        # at the level k where x leaves the nest all deeper bumps vanish
+        k, (A, B), children = nest.deepest_component(n, x)
+        if any(a <= x <= b for a, b in children):
+            return k + 1
+        knots = _component_knots(A, B, children, lo, hi)
+        x0, y0 = next(knots)
+        for x1, y1 in knots:
+            if x <= x1:
+                break
+            x0, y0 = x1, y1
+        # interpolated even at a knot, so that the value takes the
+        # backend of x (a knot value 1 at a domain endpoint is int)
+        return k + _interpolate(x, x0, x1, y0, y1)
 
-        def value(n, x):  # noqa: F811
-            # bump i is 1 while x lies in a child of its level-i component;
-            # at the level k where x leaves the nest all deeper bumps vanish
-            k, (A, B), children = nested.deepest_component(n, x)
-            if any(a <= x <= b for a, b in children):
-                return k + 1
-            knots = _component_knots(A, B, children, lo, hi)
-            x0, y0 = next(knots)
-            for x1, y1 in knots:
-                if x <= x1:
-                    break
-                x0, y0 = x1, y1
-            # interpolated even at a knot, so that the value takes the
-            # backend of x (a knot value 1 at a domain endpoint is int)
-            return k + _interpolate(x, x0, x1, y0, y1)
+    def step_bound(n):
+        # bump n is <= 1 and supported on level n
+        return float(nest.measure_level(n))
 
-    step_bound = None
-    if hasattr(nested, "measure_level"):
-        def step_bound(n):  # noqa: F811
-            # bump n is <= 1 and supported on level n
-            return float(nested.measure_level(n))
-
-    return FunctionFamily(domain, tag=tag, min_index=0,
-                          increment=delta, value=value,
-                          step_bound=step_bound)
+    tag = f"cantor-tietze(theta={nest.params.theta})"
+    return FunctionFamily(domain, tag=tag, min_index=0, increment=delta,
+                          value=value, step_bound=step_bound)
 
 
 def constant_family(domain, values: Callable[[int], object],

@@ -92,14 +92,11 @@ class CantorNest:
         self._m_offsets = (m, m * params.eps, 1 - m * params.eps)
         self._root = (1, 0) if params.exact else (1.0, 0.0)
         self._maps = [self._root]
-        self._levels = [IntervalUnion.full(params.domain, exact=params.exact)]
+        self._levels = [IntervalUnion.full(params.domain)]
         self._lock = threading.Lock()
         if params.exact:
             self._shift = m.denominator.bit_length() - 1
             self._eps = (params.eps.numerator, params.eps.denominator)
-
-    def __call__(self, n: int) -> IntervalUnion:
-        return self.level(n)
 
     def level(self, n: int) -> IntervalUnion:
         if n < 0:
@@ -110,8 +107,7 @@ class CantorNest:
                             for child in self._children(ratio, offset)]
                 self._maps = [f for f, _ in children]
                 self._levels.append(IntervalUnion(
-                    self.params.domain, [iv for _, iv in children],
-                    exact=self.params.exact))
+                    self.params.domain, [iv for _, iv in children]))
             return self._levels[n]
 
     def measure_level(self, n: int):
@@ -220,4 +216,4 @@ def uniform_cantor(p: CantorParams, n: int) -> IntervalUnion:
     a = nest.fixed_point_left()
     comps = [(r * a + t, r * (1 - a) + t) if r > 0 else
              (r * (1 - a) + t, r * a + t) for r, t in maps]
-    return IntervalUnion(p.domain, comps, exact=p.exact)
+    return IntervalUnion(p.domain, comps)

@@ -36,20 +36,20 @@ def _canonicalize(components, lo, hi, exact):
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Finite disjoint union of closed intervals inside a fixed domain."""
+    """Finite disjoint union of closed intervals inside a fixed domain; on
+    the exact backend when the domain ends and all endpoints are exact."""
 
     domain: tuple
     components: tuple = field(default=())
     exact: bool = field(default=True)
 
-    def __init__(self, domain, components=(), exact=None):
+    def __init__(self, domain, components=()):
         lo, hi = domain
         if not lo < hi:
             raise ParameterError(f"domain [{lo}, {hi}] must have lo < hi")
         components = [tuple(c) for c in components]
-        if exact is None:
-            exact = is_exact(lo) and is_exact(hi) and all(
-                is_exact(a) and is_exact(b) for a, b in components)
+        exact = is_exact(lo) and is_exact(hi) and all(
+            is_exact(a) and is_exact(b) for a, b in components)
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(
@@ -58,12 +58,12 @@ class IntervalUnion:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def empty(cls, domain, exact=None):
-        return cls(domain, (), exact=exact)
+    def empty(cls, domain):
+        return cls(domain, ())
 
     @classmethod
-    def full(cls, domain, exact=None):
-        return cls(domain, (tuple(domain),), exact=exact)
+    def full(cls, domain):
+        return cls(domain, (tuple(domain),))
 
     # -- basic queries --------------------------------------------------
 
@@ -112,9 +112,7 @@ class IntervalUnion:
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         require_same_domain(self, other)
-        return IntervalUnion(self.domain,
-                             self.components + other.components,
-                             exact=self.exact and other.exact)
+        return IntervalUnion(self.domain, self.components + other.components)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         require_same_domain(self, other)
@@ -131,8 +129,7 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion(self.domain, out,
-                             exact=self.exact and other.exact)
+        return IntervalUnion(self.domain, out)
 
     def complement(self) -> "IntervalUnion":
         """Closure of the set complement within the domain."""
@@ -145,7 +142,7 @@ class IntervalUnion:
             cursor = max(cursor, b)
         if cursor < hi:
             out.append((cursor, hi))
-        return IntervalUnion(self.domain, out, exact=self.exact)
+        return IntervalUnion(self.domain, out)
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         require_same_domain(self, other)
@@ -183,7 +180,7 @@ class IntervalUnion:
         """This set on the float backend, each endpoint converted once."""
         lo, hi = self.domain
         comps = [(float(a), float(b)) for a, b in self.components]
-        return IntervalUnion((float(lo), float(hi)), comps, exact=False)
+        return IntervalUnion((float(lo), float(hi)), comps)
 
     # -- serialization --------------------------------------------------
 

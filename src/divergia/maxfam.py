@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, inf
 from typing import Optional
 
 from .errors import ParameterError, require_same_domain
@@ -22,7 +22,7 @@ from .funcs import (FunctionFamily, MonotoneReport, PiecewiseLinear,
 from .ifs import CantorParams, cantor_nest
 from .intervals import IntervalUnion
 from .jarnik import LiouvilleParams, liouville_family
-from .scalars import format_scalar, is_exact, meet
+from .scalars import format_scalar, meet
 
 
 # ----------------------------------------------------------------------
@@ -53,6 +53,7 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
 
     return FunctionFamily(
         f.domain,
+        # the first increment is this rule, so it keeps bumps below min_index
         lambda n: PiecewiseLinear.add(*meet(f.rule(n), g.rule(n))),
         tag=f"sum({f.tag}, {g.tag})",
         min_index=min_index, max_index=max_index,
@@ -81,13 +82,18 @@ def superlevel_set(f: PiecewiseLinear, M) -> IntervalUnion:
             continue
         xc = x0 + (M - y0) * (x1 - x0) / (y1 - y0)
         comps.append((x0, xc) if y0 > M else (xc, x1))
-    exact = f.exact and is_exact(M)
-    return IntervalUnion(f.domain, comps, exact=exact)
+    return IntervalUnion(f.domain, comps)
 
 
 # ----------------------------------------------------------------------
 # divergence-set estimation
 # ----------------------------------------------------------------------
+
+def _check_threshold(M):
+    # inf and nan settle no row, and every row reaches M <= 0 at once
+    if not 0 < M < inf:
+        raise ParameterError(f"M must be finite and positive, got {M}")
+
 
 def default_grid(domain, points: int = 1000, q_max: int = 20):
     """Equispaced points plus all reduced rationals p/q with q <= q_max,
@@ -132,8 +138,7 @@ class DivergenceEstimate:
 
 def divergence_estimate(fam: FunctionFamily, M=10, N=30,
                         grid=None) -> DivergenceEstimate:
-    if not M > 0:
-        raise ParameterError("M must be positive")
+    _check_threshold(M)
     if grid is None:
         grid = default_grid(fam.domain)
     fam._check(N, *grid)
@@ -192,6 +197,7 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
     """Per-subinterval search for the smallest n whose integral exceeds M,
     scanning incrementally so that deep indices are touched only when a
     subinterval actually needs them."""
+    _check_threshold(M)
     fam._check(n_max)
     if subintervals is None:
         cuts = default_grid(fam.domain, points=10, q_max=1)
@@ -270,8 +276,7 @@ def anydh_family(theta,
     if theta == 1:
         d = constant_family(z.domain, lambda n: n, tag="linear-constants")
     else:
-        d = tietze_family(cantor_nest(CantorParams(theta)),
-                          tag=f"cantor-tietze(theta={theta})")
+        d = tietze_family(cantor_nest(CantorParams(theta)))
     fam = sum_family(d, z)
     fam.tag = f"anydh(theta={theta})"
     return fam

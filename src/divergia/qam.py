@@ -300,28 +300,23 @@ def arrow_family(F: GeneratorFamily) -> FunctionFamily:
     lo, hi = F.domain
     xs = [lo + (hi - lo) * k / 128 for k in range(129)]
     info = {}
-    memo = {}
 
-    def interpolant(n):
-        if n not in memo:
-            arrow = F.rule(n).arrow()
-            ys = [arrow(x) for x in xs]
-            second = max((abs(ys[i - 1] - 2 * ys[i] + ys[i + 1])
-                          for i in range(1, len(ys) - 1)), default=0.0)
-            info[("interp_error", n)] = second / 2
-            memo[n] = PiecewiseLinear(xs, ys)
-        return memo[n]
+    def arrows(n):
+        arrow = F.rule(n).arrow()
+        return [arrow(x) for x in xs]
 
     def rule(n):
-        cur = interpolant(n)
+        ys = arrows(n)
         if n > 1:
-            prev = interpolant(n - 1)
-            for x, a, b in zip(cur.xs, prev.ys, cur.ys):
+            for x, a, b in zip(xs, arrows(n - 1), ys):
                 if b < a - TOL:
                     raise ConstructionError(
                         f"curvature ratios decrease from index {n - 1} to "
                         f"{n} at x = {x}")
-        return cur
+        second = max((abs(ys[i - 1] - 2 * ys[i] + ys[i + 1])
+                      for i in range(1, len(ys) - 1)), default=0.0)
+        info[("interp_error", n)] = second / 2
+        return PiecewiseLinear(xs, ys)
 
     # uniform lower bound hypothesis is observable, never assumed
     info["lower_bound_note"] = (

@@ -109,7 +109,7 @@ def test_criterion_06_sum_flags_equal_union_of_flags():
     # the sum can cross M where neither part does (at x=73/200 the parts are
     # 1.32 and 8.83, the sum 10.15), hence the M / M/2 sandwich below
     M, N = 10, 30
-    tz = tietze_family(cantor_nest(CantorParams(HALF)), tag="tz")
+    tz = tietze_family(cantor_nest(CantorParams(HALF)))
     lv = liouville_family(LiouvilleParams())
     both = sum_family(tz, lv)
     grid = default_grid((0, 1))

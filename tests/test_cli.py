@@ -236,6 +236,20 @@ def test_index_past_the_family_is_a_parameter_error(capsys, argv):
     assert json.loads(err)["error"] == "parameter"
 
 
+@pytest.mark.parametrize("argv", [
+    "check --family cantor-tietze --theta 1/2 --M inf",
+    "check --family liouville --M 0",
+    "anydh --theta 1/2 --M -1",
+    "anydh --theta 1/2 --M nan --N 8",
+    "iset --family cantor-tietze --theta 1/2 --M inf --N 5",
+    "iset --family liouville --M nan --N 5",
+])
+def test_threshold_must_be_finite_and_positive(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "parameter"
+
+
 def test_bad_number_exit_code(capsys):
     code, out, err = run(capsys, "cantor", "--theta", "abc")
     assert code == 2

@@ -20,6 +20,13 @@ def test_moran_two_equal_ratios_closed_form():
         assert abs(s - math.log(2) / math.log(1 / c)) <= 1e-9
 
 
+def test_moran_root_past_a_million():
+    # ratios near 1 put the root ln 2 / -ln c = 6 931 471.46 far out
+    c = 0.9999999
+    s = moran_dimension([c, c])
+    assert s == pytest.approx(math.log(2) / -math.log(c), rel=1e-9)
+
+
 def test_moran_single_ratio_is_zero():
     # sum c^s = 1 with one ratio forces s = 0
     assert moran_dimension([0.5]) <= 1e-9

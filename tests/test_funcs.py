@@ -505,11 +505,6 @@ def test_step_bound_dominates_increment_integral(nest_family):
 
 
 def test_nesting_violation_reported(monkeypatch):
-    levels = {
-        0: IntervalUnion.full(DOMAIN),
-        1: _iu([(Fraction(1, 4), Fraction(1, 2))]),
-        2: _iu([(Fraction(3, 8), Fraction(5, 8))]),  # escapes level 1
-    }
     calls = []
     check = IntervalUnion.subset_of_relative_interior
 
@@ -518,8 +513,19 @@ def test_nesting_violation_reported(monkeypatch):
         return check(self, other)
 
     monkeypatch.setattr(IntervalUnion, "subset_of_relative_interior", counted)
-    fam = tietze_family(levels.__getitem__)
-    fam.rule(0)
-    assert len(calls) == 1  # one nesting check per bump
-    with pytest.raises(ConstructionError, match="level 1"):
-        fam.rule(2)
+    fam = tietze_family(cantor_nest(CantorParams(0.3)))
+    fam.rule(3)
+    assert len(calls) == 4  # one nesting check per bump
+    # at theta = 0.3 level 13 no longer fits inside level 12 at float
+    # resolution, and the nesting check reports the level
+    with pytest.raises(ConstructionError, match="level 12"):
+        fam.increment(12)
+
+
+@pytest.mark.parametrize("theta, tag", [
+    (Fraction(1, 2), "cantor-tietze(theta=1/2)"),
+    (0.4, "cantor-tietze(theta=0.4)"),
+    (0.5, "cantor-tietze(theta=0.5)"),  # 1/2 as --backend float parses it
+])
+def test_tietze_tag_names_theta(theta, tag):
+    assert tietze_family(cantor_nest(CantorParams(theta))).tag == tag

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from divergia import (CantorParams, DomainMismatchError, FunctionFamily,
                       jarnik_family, liouville_family, max_family_check,
                       monotone_check, sum_family, superlevel_set,
                       tietze_family)
+from divergia.scalars import meet
 
 DOMAIN = (0, 1)
 HALF = Fraction(1, 2)
@@ -16,7 +18,7 @@ HALF = Fraction(1, 2)
 
 @pytest.fixture(scope="module")
 def tz():
-    return tietze_family(cantor_nest(CantorParams(HALF)), tag="tz")
+    return tietze_family(cantor_nest(CantorParams(HALF)))
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +44,14 @@ def test_sum_family_increments_compose(tz, lv):
     ref = tz.increment(3).add(lv.increment(3))
     for x in inc.xs[::7]:
         assert inc.eval(x) == pytest.approx(ref.eval(x))
+
+
+def test_sum_family_first_increment_keeps_the_first_bump(lv):
+    # the sum starts at index 1, so its first increment is rule(1) of each
+    # summand, and the Tietze rule(1) carries bump 0 below that index
+    tz = tietze_family(cantor_nest(CantorParams(HALF)))
+    want = PiecewiseLinear.add(*meet(tz.rule(1), lv.rule(1)))
+    assert anydh_family(HALF).increment(1) == want
 
 
 def test_anydh_increments_meet_as_floats():
@@ -137,6 +147,16 @@ def test_divergence_estimate_validates(tz):
         divergence_estimate(tz, M=0)
     with pytest.raises(ParameterError):
         divergence_estimate(tz, M=5, N=10, grid=[Fraction(3, 2)])
+
+
+@pytest.mark.parametrize("M", [0, -1, Fraction(-1, 2), math.inf,
+                               -math.inf, math.nan])
+@pytest.mark.parametrize("verdict", [max_family_check, divergence_estimate])
+def test_threshold_must_be_finite_and_positive(verdict, M):
+    fam = liouville_family()
+    with pytest.raises(ParameterError, match="M must be finite and positive"):
+        verdict(fam, M=M)
+    assert not fam._increments and not fam._memo
 
 
 # ----------------------------------------------------------------------
