@@ -89,7 +89,10 @@ def cmd_cantor(args):
     nest = cantor_nest(params)
     make_level = (lambda n: uniform_cantor(params, n)) if args.uniform \
         else nest.level
-    levels = [(f"level_{n}", make_level(n)) for n in range(args.levels + 1)]
+    # the deepest level first checks its index before any level is built
+    deepest = make_level(args.levels)
+    levels = [(f"level_{n}", make_level(n) if n < args.levels else deepest)
+              for n in range(args.levels + 1)]
     if backend == "float":
         levels = [(name, iu.as_float()) for name, iu in levels]
     doc = {
@@ -225,15 +228,12 @@ def cmd_qam_mean(args):
 
 
 def cmd_qam_maximal(args):
-    if args.family != "exp:n":
-        raise ParameterError(
-            f"unsupported family {args.family!r}; only exp:n is built in")
     fam = exp_rate_family()
     lo, hi = fam.domain
     x, y, z = lo, (lo + hi) / 2, hi
     report = ratio_report(fam, x, y, z, args.N)
     doc = {
-        "command": "qam maximal", "family": args.family, "N": args.N,
+        "command": "qam maximal", "family": "exp:n", "N": args.N,
         "probe": [x, y, z],
         "final_quotient": report.quotients[-1][1],
         "tolerance": report.tol,
@@ -351,7 +351,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(func=cmd_qam_mean)
 
     q = qsub.add_parser("maximal")
-    q.add_argument("--family", default="exp:n")
     q.add_argument("--N", type=int, default=50)
     common(q, fmt=False, backend=False)
     q.set_defaults(func=cmd_qam_maximal)

@@ -34,9 +34,10 @@ def moran_dimension(ratios) -> float:
         hi *= 2
     for _ in range(200):
         mid = (lo + hi) / 2
-        if abs(total(mid) - 1) <= 1e-12:
+        t = total(mid)
+        if abs(t - 1) <= 1e-12:
             return mid
-        if total(mid) > 1:
+        if t > 1:
             lo = mid
         else:
             hi = mid

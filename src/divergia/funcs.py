@@ -296,7 +296,6 @@ class FunctionFamily:
                  increment: Optional[Callable] = None,
                  value: Optional[Callable] = None,
                  step_bound: Optional[Callable] = None,
-                 info: Optional[dict] = None,
                  max_index: Optional[int] = None):
         if rule is None and increment is None:
             raise ParameterError("a family needs a rule or an increment")
@@ -308,7 +307,7 @@ class FunctionFamily:
         self._increment = increment
         self._value = value
         self.step_bound = step_bound
-        self.info = info if info is not None else {}
+        self.info = {}
         self._memo = {}
         self._increments = {}
         # reentrant: the fold and the default increment call rule again
@@ -433,12 +432,11 @@ def tietze_family(nest) -> FunctionFamily:
                           value=value, step_bound=step_bound)
 
 
-def constant_family(domain, values: Callable[[int], object],
-                    tag="constant") -> FunctionFamily:
+def constant_family(domain, values: Callable[[int], object]) -> FunctionFamily:
     """Family of constant functions n -> values(n)."""
     return FunctionFamily(
         domain,
         lambda n: PiecewiseLinear.constant(domain, values(n)),
-        tag=tag,
+        tag="constant",
         value=lambda n, x: values(n),
     )

@@ -10,11 +10,11 @@ merged to avoid spurious slivers.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ParameterError, require_same_domain
-from .scalars import TOL, format_scalar, is_exact, parse_scalar
+from .scalars import TOL, format_scalar, is_exact, meet, parse_scalar
 
 
 def _canonicalize(components, lo, hi, exact):
@@ -40,8 +40,8 @@ class IntervalUnion:
     the exact backend when the domain ends and all endpoints are exact."""
 
     domain: tuple
-    components: tuple = field(default=())
-    exact: bool = field(default=True)
+    components: tuple
+    exact: bool
 
     def __init__(self, domain, components=()):
         lo, hi = domain
@@ -66,14 +66,6 @@ class IntervalUnion:
         return cls(domain, (tuple(domain),))
 
     # -- basic queries --------------------------------------------------
-
-    @property
-    def lo(self):
-        return self.domain[0]
-
-    @property
-    def hi(self):
-        return self.domain[1]
 
     def is_empty(self) -> bool:
         return not self.components
@@ -112,13 +104,15 @@ class IntervalUnion:
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         require_same_domain(self, other)
-        return IntervalUnion(self.domain, self.components + other.components)
+        a, b = meet(self, other)
+        return IntervalUnion(a.domain, a.components + b.components)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         require_same_domain(self, other)
+        a, b = meet(self, other)
         out = []
         i = j = 0
-        a_comps, b_comps = self.components, other.components
+        a_comps, b_comps = a.components, b.components
         while i < len(a_comps) and j < len(b_comps):
             a1, b1 = a_comps[i]
             a2, b2 = b_comps[j]
@@ -129,7 +123,7 @@ class IntervalUnion:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion(self.domain, out)
+        return IntervalUnion(a.domain, out)
 
     def complement(self) -> "IntervalUnion":
         """Closure of the set complement within the domain."""
@@ -186,7 +180,7 @@ class IntervalUnion:
 
     def to_json(self) -> dict:
         return {
-            "domain": [format_scalar(self.lo), format_scalar(self.hi)],
+            "domain": [format_scalar(v) for v in self.domain],
             "components": [[format_scalar(a), format_scalar(b)]
                            for a, b in self.components],
         }

@@ -92,10 +92,10 @@ def _level_reader(q, r_core, r_support, height=1):
 
     Valid because for the radii in use, supports of distinct centers only
     overlap when the cores already cover the whole interval.  With exact
-    radii an exact x = a/b is read on integers: p = round(a q / b), half
-    to even as ``Fraction.__round__`` does, and |x - p/q| = e/(b q) with
-    e = |a q - p b| is compared with the radii by cross-multiplying, so a
-    Fraction is built only on a ramp.
+    radii an exact x = a/b is read on integers: the distance to the
+    nearest centre is e/(b q) with e = min(r, b - r), r = a q mod b, and
+    e is compared with the radii by cross-multiplying, so a Fraction is
+    built only on a ramp.
     """
     exact = is_exact(r_support)
     spacing = Fraction(1, q) if exact else 1 / q
@@ -110,13 +110,9 @@ def _level_reader(q, r_core, r_support, height=1):
 
     def read(x):
         if exact and type(x) in EXACT_TYPES:
-            a, b = x.numerator, x.denominator
-            aq, bq = a * q, b * q
-            p, rem = divmod(aq, b)
-            if 2 * rem > b or (2 * rem == b and p & 1):
-                p += 1
-            p = min(max(p, 0), q)
-            e = abs(aq - p * b)
+            b = x.denominator
+            r = x.numerator * q % b
+            e, bq = min(r, b - r), b * q
             if e * core_den <= core_num * bq:
                 return height
             if e * sup_den >= sup_num * bq:

@@ -46,11 +46,6 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
     max_index = min((k for k in (f.max_index, g.max_index) if k is not None),
                     default=None)
 
-    step_bound = None
-    if f.step_bound is not None and g.step_bound is not None:
-        def step_bound(n):  # noqa: F811
-            return f.step_bound(n) + g.step_bound(n)
-
     return FunctionFamily(
         f.domain,
         # the first increment is this rule, so it keeps bumps below min_index
@@ -60,7 +55,6 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
         increment=lambda n: PiecewiseLinear.add(
             *meet(f.increment(n), g.increment(n))),
         value=lambda n, x: f.value(n, x) + g.value(n, x),
-        step_bound=step_bound,
     )
 
 
@@ -274,7 +268,7 @@ def anydh_family(theta,
         z.tag = "anydh(theta=0)"
         return z
     if theta == 1:
-        d = constant_family(z.domain, lambda n: n, tag="linear-constants")
+        d = constant_family(z.domain, lambda n: n)
     else:
         d = tietze_family(cantor_nest(CantorParams(theta)))
     fam = sum_family(d, z)

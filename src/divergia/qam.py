@@ -282,6 +282,8 @@ class RatioReport:
 def ratio_report(F: GeneratorFamily, x, y, z, n_max: int) -> RatioReport:
     """Convergence report of the quotient over n <= n_max; the family is
     tagged as a max-mean indicator when |quotient| falls below 1e-4."""
+    if n_max < 1:
+        raise ParameterError(f"N must be >= 1, got {n_max}")
     tol = 1e-4
     qs = tuple((n, ratio_condition(F, x, y, z, n))
                for n in range(1, n_max + 1))
@@ -299,7 +301,6 @@ def arrow_family(F: GeneratorFamily) -> FunctionFamily:
     """
     lo, hi = F.domain
     xs = [lo + (hi - lo) * k / 128 for k in range(129)]
-    info = {}
 
     def arrows(n):
         arrow = F.rule(n).arrow()
@@ -318,19 +319,20 @@ def arrow_family(F: GeneratorFamily) -> FunctionFamily:
         info[("interp_error", n)] = second / 2
         return PiecewiseLinear(xs, ys)
 
+    fam = FunctionFamily((lo, hi), rule, tag="curvature-ratio", min_index=1,
+                         value=lambda n, x: F.rule(n).arrow()(x))
+    # the rule writes to the dict, not to fam, so that fam is in no cycle
+    info = fam.info
     # uniform lower bound hypothesis is observable, never assumed
     info["lower_bound_note"] = (
         "integral criterion additionally needs the curvature ratios to be "
         "uniformly bounded below; check min values over the indices you use")
-    return FunctionFamily((lo, hi), rule, tag="curvature-ratio", min_index=1,
-                          value=lambda n, x: F.rule(n).arrow()(x), info=info)
+    return fam
 
 
 @dataclass(frozen=True)
 class ComparabilityVerdict:
     relation: str             # "<=", ">=", "==", or "incomparable"
-    arrow_le: bool
-    arrow_ge: bool
     mean_checks_agree: bool
 
     def __str__(self):
@@ -367,5 +369,4 @@ def comparability(F: Generator, G: Generator, grid,
             if relation in (">=", "==") and mg > mf + 1e-8:
                 agree = False
                 break
-    return ComparabilityVerdict(relation=relation, arrow_le=le, arrow_ge=ge,
-                                mean_checks_agree=agree)
+    return ComparabilityVerdict(relation=relation, mean_checks_agree=agree)

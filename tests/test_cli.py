@@ -1,4 +1,5 @@
 import json
+import math
 
 import jsonschema
 import pytest
@@ -261,6 +262,7 @@ def test_bad_number_exit_code(capsys):
     "dim --moran abc",
     "qam mean --gen power:x --tuple 1,2",
     "qam mean --gen power:1 --tuple 1,abc",
+    "qam mean --gen cosh --tuple 1,2",
     "qam compare --first power:1 --second power:2 --domain 1",
     "qam compare --first power:1 --second power:2 --domain 1,2,3",
 ])
@@ -276,6 +278,8 @@ def test_malformed_number_is_a_parameter_error(capsys, argv):
     "liouville --backend float",
     "dim --moran 1/4,1/4 --backend float",
     "qam maximal --backend float",
+    # exp:n is the one family, so there is no --family
+    "qam maximal --family exp:n",
 ])
 def test_usage_error_exits_with_code_2(capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -290,3 +294,68 @@ def test_output_file(capsys, tmp_path):
     assert code == 0
     doc = json.loads(path.read_text())
     assert doc["command"] == "cantor"
+
+
+@pytest.mark.parametrize("argv", [
+    "cantor --theta 1/2 --levels -1",
+    "cantor --theta 1/2 --levels -1 --uniform",
+])
+def test_negative_level_count_is_a_parameter_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and not out
+    assert json.loads(err) == {"error": "parameter",
+                               "message": "level index must be >= 0"}
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_qam_maximal_needs_an_index(capsys, n):
+    code, out, err = run(capsys, "qam", "maximal", "--N", n)
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize("levels, scales, warned", [
+    # the dyadic ladder 1/4 ... down to the shortest component
+    (6, [2.0 ** -k for k in range(2, 13)], False),
+    # a ladder of fewer than four scales falls back to 1/4 ... 1/32
+    (1, [2.0 ** -k for k in range(2, 6)], True),
+])
+def test_dim_auto_scales(capsys, tmp_path, levels, scales, warned):
+    from fractions import Fraction
+
+    from divergia import CantorParams, cantor_nest
+    path = tmp_path / "set.json"
+    path.write_text(json.dumps(
+        cantor_nest(CantorParams(Fraction(1, 2))).level(levels).to_json()))
+    code, out, _ = run(capsys, "dim", "--input", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert [d for d, _ in doc["counts"]] == scales
+    if levels == 6:
+        assert doc["estimate"] == 0.5
+    assert ("warning" in doc) == warned
+    if warned:
+        assert doc["warning"].startswith("finest scale undercuts")
+
+
+@pytest.mark.parametrize("gen, values, want", [
+    # the geometric mean, and (1/c) ln of the mean of e^(c a)
+    ("log", (1, 2, 3), 6 ** (1 / 3)),
+    ("exp:3", (0.1, 0.5, 0.9),
+     math.log(sum(math.exp(3 * a) for a in (0.1, 0.5, 0.9)) / 3) / 3),
+])
+def test_qam_mean_generators(capsys, gen, values, want):
+    code, out, _ = run(capsys, "qam", "mean", "--gen", gen,
+                       "--tuple", ",".join(map(str, values)))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["generator"] == gen and "power_mean" not in doc
+    assert doc["mean"] == pytest.approx(want, rel=1e-11)
+
+
+def test_construction_failure_exit_code(capsys):
+    code, out, err = run(capsys, "anydh", "--theta", "0.3", "--N", "14")
+    assert code == 1 and not out
+    doc = json.loads(err)
+    assert doc["error"] == "construction"
+    assert doc["message"].startswith("level 12: ")

@@ -289,7 +289,7 @@ def test_bump_range_and_exactness():
 # ----------------------------------------------------------------------
 
 def test_constant_family():
-    fam = constant_family(DOMAIN, lambda n: n, tag="n")
+    fam = constant_family(DOMAIN, lambda n: n)
     assert fam.rule(3).eval(Fraction(1, 2)) == 3
     assert fam.value(7, 0) == 7
 

@@ -145,6 +145,22 @@ def test_empty_and_full():
     assert F.measure() == 1
 
 
+@pytest.mark.parametrize("op, want", [
+    ("intersect", ((0.25, 0.5),)),
+    ("union", ((0.25, 0.5), (0.75, 1.0))),
+])
+def test_mixed_backend_operands_meet_as_floats(op, want):
+    exact = IntervalUnion((0, 1), [(Fraction(1, 4), Fraction(1, 2))])
+    other = IntervalUnion((0.0, 1.0), [(0.0, 1.0)] if op == "intersect"
+                          else [(0.75, 1.0)])
+    for a, b in ((exact, other), (other, exact)):
+        out = getattr(a, op)(b)
+        assert out.components == want and not out.exact
+        assert out.domain == (0.0, 1.0)
+        ends = out.domain + sum(out.components, ())
+        assert all(type(v) is float for v in ends)
+
+
 # ----------------------------------------------------------------------
 # metrics and serialization
 # ----------------------------------------------------------------------

@@ -164,7 +164,7 @@ def test_threshold_must_be_finite_and_positive(verdict, M):
 # ----------------------------------------------------------------------
 
 def test_constant_family_reaches_threshold():
-    fam = constant_family(DOMAIN, lambda n: n, tag="n")
+    fam = constant_family(DOMAIN, lambda n: n)
     rep = max_family_check(fam, M=2, n_max=40)
     assert rep.all_reached and rep.monotone.ok
     # each subinterval has length 1/10, so the integral passes 2 at n = 21
@@ -188,7 +188,7 @@ def test_liouville_reaches_everywhere(lv):
 
 
 def test_monotone_violation_detected():
-    fam = constant_family(DOMAIN, lambda n: -n, tag="-n")
+    fam = constant_family(DOMAIN, lambda n: -n)
     rep = max_family_check(fam, M=1, n_max=5)
     assert not rep.monotone.ok
 

@@ -1,5 +1,7 @@
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -343,6 +345,12 @@ def test_ratio_report_verdicts():
     assert not neg.qa_maximal_indicator
 
 
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_ratio_report_needs_an_index(n_max):
+    with pytest.raises(ParameterError, match="N must be >= 1"):
+        ratio_report(exp_rate_family(), 0, 0.5, 1, n_max)
+
+
 def test_arrow_family_integral_criterion_positive():
     fam = arrow_family(exp_rate_family())
     rep = max_family_check(fam, M=2, n_max=30)
@@ -367,6 +375,19 @@ def test_arrow_family_interpolation_error_for_curved_arrows():
     fam.rule(3)
     assert fam.info[("interp_error", 3)] >= 0
     assert "lower_bound_note" in fam.info
+
+
+def test_arrow_family_is_freed_without_the_cycle_collector():
+    # one family is built per call, so it must not hold itself in a cycle
+    gc.disable()
+    try:
+        fam = arrow_family(exp_rate_family())
+        fam.rule(3)
+        ref = weakref.ref(fam)
+        del fam
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 # ----------------------------------------------------------------------
