@@ -38,7 +38,10 @@ def _parse_number(text: str, backend: str):
         value = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParameterError(f"cannot parse number {text!r}") from exc
-    return float(value) if backend == "float" else value
+    try:
+        return float(value) if backend == "float" else value
+    except OverflowError as exc:
+        raise ParameterError(f"number {text!r} overflows a float") from exc
 
 
 def _parse_floats(text: str):
@@ -178,8 +181,11 @@ def cmd_dim(args):
         return
     if not args.input:
         raise ParameterError("dim needs either --moran or --input")
-    with open(args.input) as fh:
-        A = IntervalUnion.from_json(json.load(fh))
+    try:
+        with open(args.input) as fh:
+            A = IntervalUnion.from_json(json.load(fh))
+    except (OSError, ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
+        raise ParameterError(f"cannot read {args.input!r}: {exc!r}") from exc
     shortest = min((b - a for a, b in A.components if b > a), default=0)
     if args.scales == "auto":
         finest = float(shortest) if shortest else 1e-4

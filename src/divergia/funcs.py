@@ -250,16 +250,15 @@ def bump_from_sets(outer: IntervalUnion, inner: IntervalUnion) -> PiecewiseLinea
         raise ConstructionError(
             "inner set is not inside the relative interior of the outer set")
     lo, hi = outer.domain
+    # each inner component goes under the outer one it starts in, in order
     inner_by_outer = {}
-    starts = outer._starts  # cached by the nesting check above
-    for comp in inner.components:
-        i = bisect.bisect_right(starts, comp[0]) - 1
-        inner_by_outer.setdefault(i, []).append(comp)
+    for j, comp in inner._owners(outer):
+        inner_by_outer.setdefault(j, []).append(comp)
 
     pts = []
-    for idx, (A, B) in enumerate(outer.components):
-        if idx in inner_by_outer:
-            pts += _component_knots(A, B, inner_by_outer[idx], lo, hi)
+    for j, inners in inner_by_outer.items():
+        A, B = outer.components[j]
+        pts += _component_knots(A, B, inners, lo, hi)
     if not pts or pts[0][0] > lo:
         pts.insert(0, (lo, 0))
     if pts[-1][0] < hi:

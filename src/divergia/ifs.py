@@ -66,49 +66,65 @@ class CantorNest:
     """Nested closed sets: level n is the union of the images of [0, 1]
     under the 2^n compositions of L and R.
 
-    One rule, ``_children``, takes a composed map x -> ratio*x + offset to
-    its two child maps and their images of [0, 1], left to right.  Levels
-    grow the composed maps of the deepest level built, and
-    ``uniform_cantor`` grows them too.  Besides materializing whole levels,
-    the nest answers local queries (the deepest component of a level up
-    to n containing a point, with its two children) by one descent of the
-    binary address of the point through at most n levels; level n is
-    never built for that, so a pointwise value at index n costs one
-    descent of n levels.  A float nest descends through ``_children``
-    itself, so its components are components of the levels.
+    Exact levels (theta = 1/k, so m = 2^-k, and eps = e/d) come from an
+    integer recurrence.  A level-j component is [A, A + d] over
+    S_j = d 2^(kj); with c = e 2^(kj), L sends it to [A + c, A + c + d]
+    and R to [S_(j+1) - A - c - d, S_(j+1) - A - c] over S_(j+1), so
+    level j + 1 is the left images in order, then the right images
+    reversed.  The nest keeps the starts A of its deepest level.  Float
+    levels grow composed maps x -> ratio*x + offset through ``_children``.
 
-    On an exact nest (theta = 1/k, so m = 2^-k) the descent runs on
-    integers: with x = X/D over D = den(x) den(eps), the inverse maps
-    x/m - eps and (1 - x)/m - eps take the numerator X to (X << k) - E and
-    ((D - X) << k) - E, where E = eps D, and x stays in the nest for one
-    more level exactly while one of them lies in [0, D].  Only the exit
-    level's component and its two children are built, once, from the
-    depth, the orientation and the last numerator.
+    Local queries (the deepest component of a level up to n containing a
+    point, with its two children) descend the binary address of the point
+    through at most n levels and never build level n.  A float nest
+    descends through ``_children``, so its components are those of the
+    levels.  An exact nest descends on integers: with x = X/D over
+    D = den(x) den(eps), the inverse maps x/m - eps and (1 - x)/m - eps
+    take X to (X << k) - E and ((D - X) << k) - E, E = eps D, and x stays
+    in the nest one more level exactly while one of them lies in [0, D].
+    Only the exit level's component and its two children are built, from
+    the depth, the orientation and the last numerator.
     """
 
     def __init__(self, params: CantorParams):
         self.params = params
         m = params.m
-        self._m_offsets = (m, m * params.eps, 1 - m * params.eps)
-        self._root = (1, 0) if params.exact else (1.0, 0.0)
-        self._maps = [self._root]
         self._levels = [IntervalUnion.full(params.domain)]
         self._lock = threading.Lock()
         if params.exact:
             self._shift = m.denominator.bit_length() - 1
             self._eps = (params.eps.numerator, params.eps.denominator)
+            self._starts = [0]
+        else:
+            self._m_offsets = (m, m * params.eps, 1 - m * params.eps)
+            self._maps = [(1.0, 0.0)]
 
     def level(self, n: int) -> IntervalUnion:
         if n < 0:
             raise ParameterError("level index must be >= 0")
+        domain = self.params.domain
         with self._lock:
             while len(self._levels) <= n:
-                children = [child for ratio, offset in self._maps
-                            for child in self._children(ratio, offset)]
-                self._maps = [f for f, _ in children]
-                self._levels.append(IntervalUnion(
-                    self.params.domain, [iv for _, iv in children]))
+                if self.params.exact:
+                    d = self._eps[1]
+                    self._starts, S = self._grow(self._starts,
+                                                 len(self._levels) - 1)
+                    level = IntervalUnion._canonical(
+                        domain, [(A, A + d) for A in self._starts], S)
+                else:
+                    children = [child for ratio, offset in self._maps
+                                for child in self._children(ratio, offset)]
+                    self._maps = [f for f, _ in children]
+                    level = IntervalUnion(domain, [iv for _, iv in children])
+                self._levels.append(level)
             return self._levels[n]
+
+    def _grow(self, starts, j):
+        """Starts of level j + 1, and S_(j+1), from those of level j."""
+        k, (e, d) = self._shift, self._eps
+        c, S = e << (k * j), d << (k * (j + 1))
+        return [A + c for A in starts] + \
+            [S - d - c - A for A in reversed(starts)], S
 
     def measure_level(self, n: int):
         """Exact level measure: (2m)^n."""
@@ -179,7 +195,7 @@ class CantorNest:
     def _walk(self, n, x):
         # the descent of deepest_component through composed similarities
         interval = self.params.domain
-        children = self._children(*self._root)
+        children = self._children(1.0, 0.0)
         for k in range(n):
             for f, (a, b) in children:
                 if a <= x <= b:
@@ -209,7 +225,17 @@ def uniform_cantor(p: CantorParams, n: int) -> IntervalUnion:
     if n < 0:
         raise ParameterError("level index must be >= 0")
     nest = CantorNest(p)
-    maps = [nest._root]
+    if p.exact:
+        # [A, A + d] over S takes [a, 1 - a], a = e/(d g) with g = 2^k - 1,
+        # to [A g + e, (A + d) g - e] over S g, in either orientation
+        e, d = nest._eps
+        starts, S = [0], d
+        for j in range(n):
+            starts, S = nest._grow(starts, j)
+        g = (1 << nest._shift) - 1
+        return IntervalUnion._canonical(
+            p.domain, [(A * g + e, (A + d) * g - e) for A in starts], S * g)
+    maps = [(1.0, 0.0)]
     for _ in range(n):
         maps = [f for ratio, offset in maps
                 for f, _ in nest._children(ratio, offset)]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParameterError, require_same_domain
@@ -56,6 +57,28 @@ class IntervalUnion:
             self, "components", _canonicalize(components, lo, hi, exact))
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _canonical(cls, domain, numerators, denominator):
+        """The union of the components [a/S, b/S], S = ``denominator``, of
+        integer pairs (a, b) that are already canonical: sorted, strictly
+        separated and inside the exact domain.  One pass checks that on the
+        integers (a/S is monotone in a), with no sort, and raises
+        ParameterError otherwise."""
+        lo, hi = domain
+        start, top = lo * denominator, hi * denominator
+        for a, b in numerators:
+            if not start <= a <= b <= top:
+                raise ParameterError(f"[{a}, {b}] over {denominator} is out "
+                                     f"of canonical order in [{lo}, {hi}]")
+            start = b + 1  # the least integer strictly past b
+        self = object.__new__(cls)
+        object.__setattr__(self, "domain", (lo, hi))
+        object.__setattr__(self, "exact", True)
+        object.__setattr__(self, "components", tuple(
+            (Fraction(a, denominator), Fraction(b, denominator))
+            for a, b in numerators))
+        return self
 
     @classmethod
     def empty(cls, domain):
@@ -138,17 +161,21 @@ class IntervalUnion:
             out.append((cursor, hi))
         return IntervalUnion(self.domain, out)
 
+    def _owners(self, other: "IntervalUnion"):
+        """Each component of self with the index of the last component of
+        other that starts at or before it (-1 for none), in one walk over
+        both sorted lists."""
+        outer, j = other.components, -1
+        for comp in self.components:
+            while j + 1 < len(outer) and outer[j + 1][0] <= comp[0]:
+                j += 1
+            yield j, comp
+
     def subset_of(self, other: "IntervalUnion") -> bool:
         require_same_domain(self, other)
-        for a, b in self.components:
-            i = bisect.bisect_right(other._starts, a)
-            if i == 0:
-                return False
-            c, d = other.components[i - 1]
-            tol = 0 if (self.exact and other.exact) else TOL
-            if a < c - tol or b > d + tol:
-                return False
-        return True
+        tol = 0 if (self.exact and other.exact) else TOL
+        return all(j >= 0 and b <= other.components[j][1] + tol
+                   for j, (_, b) in self._owners(other))
 
     def subset_of_relative_interior(self, other: "IntervalUnion") -> bool:
         """True iff every component of self sits strictly inside a component
@@ -157,11 +184,10 @@ class IntervalUnion:
         require_same_domain(self, other)
         lo, hi = self.domain
         tol = 0 if (self.exact and other.exact) else TOL
-        for a, b in self.components:
-            i = bisect.bisect_right(other._starts, a)
-            if i == 0:
+        for j, (a, b) in self._owners(other):
+            if j < 0:
                 return False
-            c, d = other.components[i - 1]
+            c, d = other.components[j]
             if b > d + tol:
                 return False
             left_ok = (c < a - tol) or (c <= lo + tol)

@@ -1,0 +1,80 @@
+"""Bit-identity manifest of CLI documents.
+
+``COMMANDS`` lists CLI invocations whose output must not move when the
+library is refactored.  ``digest(argv)`` runs one in-process and hashes
+its stdout, stderr and exit code with SHA-256; ``cli_digests.json`` next
+to this file holds the expected digest of each command, and
+``test_cli_digests.py`` recomputes them.  Float documents depend on
+CPython's float formatting, so the manifest names the interpreter that
+wrote it.
+
+Rewrite the manifest on purpose, after a change that is meant to move an
+output, with::
+
+    PYTHONPATH=src python tests/cli_digests.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import platform
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+from divergia import CantorParams, cantor_nest
+from divergia.cli import main
+
+MANIFEST = Path(__file__).with_name("cli_digests.json")
+
+#: the `dim --input` commands read this set, written to a scratch file
+SET = "{set}"
+
+COMMANDS = [
+    *(f"cantor --theta 1/{k} --levels {levels}{extra}"
+      for k in (2, 3, 4, 5) for levels, extra in [
+          (7, ""), (6, " --uniform"), (5, " --eps 1/9"),
+          (4, " --format csv"), (5, " --backend float"),
+          (4, " --uniform --backend float --format csv")]),
+    "cantor --theta 1/3 --levels 0 --uniform",
+    "cantor --theta 1/7 --eps 1/7 --levels 3 --uniform",
+    "cantor --theta 0.4 --backend float --levels 4",
+    *(f"check --family cantor-tietze --theta 1/{k} --M 10 --N 12"
+      for k in (2, 3)),
+    *(f"iset --family cantor-tietze --theta 1/{k} --M 4 --N 6"
+      for k in (2, 3)),
+    "iset --family cantor-tietze --theta 1/2 --M 4 --N 6 --format csv",
+    "anydh --theta 1/3 --M 3 --N 6",
+    # exit 1: the float nest at theta = 0.3 fails its nesting check
+    "anydh --theta 0.3 --N 14",
+    "cantor --theta 1/2 --levels -1 --uniform",
+    f"dim --input {SET}",
+    f"dim --input {SET} --scales 1/16,1/32,1/64,1/128",
+]
+
+
+def digest(argv: str, set_path: str) -> str:
+    """SHA-256 over the exit code, stdout and stderr of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv.replace(SET, set_path).split())
+    blob = json.dumps([code, out.getvalue(), err.getvalue()])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def digests() -> dict:
+    """The digest of every command in ``COMMANDS``, by command line."""
+    with tempfile.TemporaryDirectory() as tmp:
+        set_path = str(Path(tmp) / "set.json")
+        level = cantor_nest(CantorParams(Fraction(1, 3))).level(5)
+        Path(set_path).write_text(json.dumps(level.to_json()))
+        return {argv: digest(argv, set_path) for argv in COMMANDS}
+
+
+if __name__ == "__main__":
+    manifest = {"python": platform.python_version(), "digests": digests()}
+    MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
+    print(f"wrote {len(COMMANDS)} digests to {MANIFEST}")

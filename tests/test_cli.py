@@ -359,3 +359,32 @@ def test_construction_failure_exit_code(capsys):
     doc = json.loads(err)
     assert doc["error"] == "construction"
     assert doc["message"].startswith("level 12: ")
+
+
+@pytest.mark.parametrize("content", [
+    None,  # no file at all
+    # a `cantor` document holds its levels under "levels", not one set
+    '{"command": "cantor", "levels": {"level_0": {"domain": ["0/1", "1/1"],'
+    ' "components": [["0/1", "1/1"]]}}}',
+    '{"domain": ["0/1"], "components": []}',
+    "not json",
+], ids=["missing", "cantor-document", "one-ended-domain", "not-json"])
+def test_dim_unreadable_input_is_a_parameter_error(capsys, tmp_path,
+                                                   content):
+    path = tmp_path / "set.json"
+    if content is not None:
+        path.write_text(content)
+    code, out, err = run(capsys, "dim", "--input", str(path))
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize("argv", [
+    "qam mean --gen power:1e400 --tuple 1,2",
+    "qam mean --gen power:1 --tuple 1,1e400",
+    "cantor --theta 1e400 --backend float",
+])
+def test_number_past_float_range_is_a_parameter_error(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and not out
+    assert json.loads(err)["error"] == "parameter"

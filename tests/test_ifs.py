@@ -272,3 +272,42 @@ def test_descent_matches_similarity_walk(data):
     want = reference_deepest_component(nest, n, x)
     assert same(nest.deepest_component(n, x), want)
     assert nest.contains(n, x) is (want[0] == n)
+
+
+# ----------------------------------------------------------------------
+# integer levels against the composed maps
+# ----------------------------------------------------------------------
+
+def composed_maps(nest, n):
+    """The 2^n composed maps of level n, as pairs (ratio, offset)."""
+    maps = [(1, 0)]
+    for _ in range(n):
+        maps = [(ratio * r, ratio * o + offset) for ratio, offset in maps
+                for r, o in reference_maps(nest)]
+    return maps
+
+
+def sorted_images(maps, a, b):
+    """The images of [a, b] under the maps, sorted."""
+    return tuple(sorted(tuple(sorted((r * a + t, r * b + t)))
+                        for r, t in maps))
+
+
+@settings(max_examples=60)
+@given(st.data())
+def test_levels_match_composed_maps(data):
+    k = data.draw(st.integers(min_value=2, max_value=5))
+    top = 2 ** (k - 1) - 1  # eps lies in (0, 1/(2m) - 1)
+    eps = data.draw(st.fractions(min_value=0, max_value=top,
+                                 max_denominator=60)
+                    .filter(lambda e: 0 < e < top))
+    n = data.draw(st.integers(min_value=0, max_value=8))
+    p = CantorParams(Fraction(1, k), eps)
+    nest = cantor_nest(p)
+    maps = composed_maps(nest, n)
+    a = nest.fixed_point_left()
+    # the root (1, 0) keeps level 0 on its int domain
+    for got, want in [(nest.level(n), sorted_images(maps, 0, 1)),
+                      (uniform_cantor(p, n), sorted_images(maps, a, 1 - a))]:
+        assert got.exact and same(got.domain, (0, 1))
+        assert same(got.components, want)

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divergia import (CantorParams, IntervalUnion, ParameterError,
                       cantor_nest, hausdorff_distance, uniform_cantor)
+from divergia.scalars import TOL
 
 DOMAIN = (0, 1)
 
@@ -287,3 +288,80 @@ def nonempty_union(values, domain):
               nonempty_union(st.floats(0, 1), (0.0, 1.0)))))
 def test_hausdorff_matches_reference_on_random_unions(pair):
     assert_same_hausdorff(*pair)
+
+
+# ----------------------------------------------------------------------
+# the canonical-input path and the walking subset tests
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("pairs", [
+    [(3, 4), (1, 2)],  # unsorted
+    [(1, 3), (2, 4)],  # overlapping
+    [(1, 2), (2, 4)],  # touching
+    [(2, 1)],  # negative length
+    [(-1, 2)],  # before the domain start
+    [(1, 2), (3, 9)],  # past the domain end, 8 over 8
+])
+def test_canonical_path_rejects_noncanonical_input(pairs):
+    with pytest.raises(ParameterError):
+        IntervalUnion._canonical(DOMAIN, pairs, 8)
+
+
+def test_canonical_path_matches_the_sorting_constructor():
+    pairs = [(0, 1), (2, 2), (3, 8)]
+    got = IntervalUnion._canonical(DOMAIN, pairs, 8)
+    want = IntervalUnion(DOMAIN, [(Fraction(a, 8), Fraction(b, 8))
+                                  for a, b in pairs])
+    assert got == want and got.exact
+    assert all(type(e) is Fraction for comp in got.components for e in comp)
+
+
+def brute_subset(A, B, interior):
+    """Whether some component of B holds each component of A, by a scan of
+    B: it starts at or before the inner start and ends at most TOL (float)
+    before the inner end; interior also asks for margins past TOL where B
+    does not reach a domain end."""
+    lo, hi = A.domain
+    tol = 0 if A.exact and B.exact else TOL
+
+    def held(a, b, c, d):
+        return c <= a and b <= d + tol and (not interior or (
+            (c < a - tol or c <= lo + tol) and (b < d - tol or d >= hi - tol)))
+
+    return all(any(held(a, b, c, d) for c, d in B.components)
+               for a, b in A.components)
+
+
+EXACT_OR_FLOAT = [(DOMAIN, st.integers(0, 64).map(lambda i: Fraction(i, 64)),
+                   [0, Fraction(1, 10 ** 13), -Fraction(1, 10 ** 13)]),
+                  ((0.0, 1.0), st.floats(0, 1),
+                   [0.0, TOL / 2, -TOL / 2, 2 * TOL, -2 * TOL])]
+OUTER = [nonempty_union(value, domain) for domain, value, _ in EXACT_OR_FLOAT]
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 1), st.data())
+def test_subset_walk_matches_brute_force(backend, data):
+    (lo, hi), value, shifts = EXACT_OR_FLOAT[backend]
+    outer = data.draw(OUTER[backend])
+    comps = outer.components
+    ends = [e for comp in comps for e in comp]
+
+    def index(seq):
+        return data.draw(st.integers(0, len(seq) - 1))
+
+    def point():
+        # anywhere, inside an outer component, or within TOL of an outer end
+        kind = data.draw(st.integers(0, 2))
+        if kind == 0:
+            return data.draw(value)
+        if kind == 1:
+            c, d = comps[index(comps)]
+            return c + data.draw(value) * (d - c)
+        return min(max(ends[index(ends)] + shifts[index(shifts)], lo), hi)
+
+    inner = IntervalUnion((lo, hi), [
+        sorted((point(), point())) for _ in range(data.draw(st.integers(0, 6)))])
+    assert inner.subset_of(outer) is brute_subset(inner, outer, False)
+    assert inner.subset_of_relative_interior(outer) is \
+        brute_subset(inner, outer, True)
