@@ -10,6 +10,7 @@ and the whole construction runs on the exact rational backend.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,7 +25,13 @@ def _ratio_for(theta):
     if not 0 < theta < 1:
         raise ParameterError(f"theta must lie in (0, 1), got {theta}")
     k = as_integer(1 / theta)
-    return 0.5 ** (1 / theta) if k is None else Fraction(1, 2 ** k)
+    if k is not None:
+        return Fraction(1, 2 ** k)
+    m = 0.5 ** (1 / theta)
+    if m < sys.float_info.min:
+        raise ParameterError(f"theta={theta} makes the ratio (1/2)^(1/theta)"
+                             f" = {m} smaller than a normal float")
+    return m
 
 
 @dataclass(frozen=True)
@@ -35,6 +42,7 @@ class CantorParams:
     theta: object
     eps: object = None
     m: object = field(init=False, repr=False, compare=False)
+    exact: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = _ratio_for(self.theta)
@@ -51,10 +59,7 @@ class CantorParams:
                 f"got {eps}")
         object.__setattr__(self, "eps", eps)
         object.__setattr__(self, "m", m)
-
-    @property
-    def exact(self) -> bool:
-        return is_exact(self.m)
+        object.__setattr__(self, "exact", is_exact(m))
 
     @property
     def domain(self):
@@ -66,38 +71,41 @@ class CantorNest:
     """Nested closed sets: level n is the union of the images of [0, 1]
     under the 2^n compositions of L and R.
 
-    Exact levels (theta = 1/k, so m = 2^-k, and eps = e/d) come from an
-    integer recurrence.  A level-j component is [A, A + d] over
-    S_j = d 2^(kj); with c = e 2^(kj), L sends it to [A + c, A + c + d]
-    and R to [S_(j+1) - A - c - d, S_(j+1) - A - c] over S_(j+1), so
-    level j + 1 is the left images in order, then the right images
-    reversed.  The nest keeps the starts A of its deepest level.  Float
-    levels grow composed maps x -> ratio*x + offset through ``_children``.
+    L[0, 1] and R[0, 1] mirror each other, so a component's two children
+    sit at the same offsets inside it whatever its orientation, and a
+    component is just its left end at the level's common width w.
+    ``_children`` is the one child rule, and the nest keeps the left ends
+    and the width of its deepest level.  On an exact nest (theta = 1/k, so
+    m = 2^-k, and eps = e/d) the children of [A, A + w] over S start at
+    (A << k) + e w/d and (A << k) + f w/d over S 2^k, with the same w and
+    f = d (2^k - 1) - e; levels count in units of 1/S_j, S_j = d 2^(kj),
+    so w = d.  On a float nest the children of [u, u + w] start at
+    u + w m eps and u + w (1 - m - m eps), with width w m.
 
     Local queries (the deepest component of a level up to n containing a
-    point, with its two children) descend the binary address of the point
-    through at most n levels and never build level n.  A float nest
-    descends through ``_children``, so its components are those of the
-    levels.  An exact nest descends on integers: with x = X/D over
-    D = den(x) den(eps), the inverse maps x/m - eps and (1 - x)/m - eps
-    take X to (X << k) - E and ((D - X) << k) - E, E = eps D, and x stays
-    in the nest one more level exactly while one of them lies in [0, D].
-    Only the exit level's component and its two children are built, from
-    the depth, the orientation and the last numerator.
+    point, with its two children) descend the address of the point
+    through at most n levels and never build level n.  A float nest steps
+    through the child rule, so it meets the components of the levels.  An
+    exact nest runs the rule backwards on integers: with x = X/D over
+    D = den(x) d, E = den(x) e and F = den(x) f, the position X/D of x in
+    its component becomes (X << k) - E in the left child or (X << k) - F
+    in the right one, whichever lies in [0, D]; if neither does, x leaves
+    the nest there, and only that component and its children are built.
     """
 
     def __init__(self, params: CantorParams):
         self.params = params
-        m = params.m
+        m, (lo, _) = params.m, params.domain
         self._levels = [IntervalUnion.full(params.domain)]
         self._lock = threading.Lock()
         if params.exact:
-            self._shift = m.denominator.bit_length() - 1
-            self._eps = (params.eps.numerator, params.eps.denominator)
-            self._starts = [0]
+            self._shift = k = m.denominator.bit_length() - 1
+            e, d = params.eps.numerator, params.eps.denominator
+            self._offsets, self._width = (e, d * ((1 << k) - 1) - e), d
         else:
-            self._m_offsets = (m, m * params.eps, 1 - m * params.eps)
-            self._maps = [(1.0, 0.0)]
+            me = m * params.eps
+            self._offsets, self._width = (me, 1 - m - me), 1.0
+        self._starts = [lo]
 
     def level(self, n: int) -> IntervalUnion:
         if n < 0:
@@ -105,26 +113,35 @@ class CantorNest:
         domain = self.params.domain
         with self._lock:
             while len(self._levels) <= n:
-                if self.params.exact:
-                    d = self._eps[1]
-                    self._starts, S = self._grow(self._starts,
-                                                 len(self._levels) - 1)
+                starts, w = self._starts, self._width = self._children(
+                    self._starts, self._width)
+                pairs = [(u, u + w) for u in starts]
+                if self.params.exact:  # over S_j = d 2^(kj), and w = d
                     level = IntervalUnion._canonical(
-                        domain, [(A, A + d) for A in self._starts], S)
+                        domain, pairs, w << (self._shift * len(self._levels)))
                 else:
-                    children = [child for ratio, offset in self._maps
-                                for child in self._children(ratio, offset)]
-                    self._maps = [f for f, _ in children]
-                    level = IntervalUnion(domain, [iv for _, iv in children])
+                    level = IntervalUnion(domain, pairs)
                 self._levels.append(level)
             return self._levels[n]
 
-    def _grow(self, starts, j):
-        """Starts of level j + 1, and S_(j+1), from those of level j."""
-        k, (e, d) = self._shift, self._eps
-        c, S = e << (k * j), d << (k * (j + 1))
-        return [A + c for A in starts] + \
-            [S - d - c - A for A in reversed(starts)], S
+    def _children(self, starts, w):
+        """Left ends and width of the children of the components [A, A + w]
+        that start at ``starts``, in order: the one child rule."""
+        a, b = self._offsets
+        out = []
+        extend = out.extend
+        if self.params.exact:
+            # units of 1/S become units of 1/(S 2^k); offsets scale as w/d
+            scale, k = w // self.params.eps.denominator, self._shift
+            a, b = a * scale, b * scale
+            for A in starts:
+                A <<= k
+                extend((A + a, A + b))
+        else:
+            a, b, w = w * a, w * b, w * self.params.m
+            for u in starts:
+                extend((u + a, u + b))
+        return out, w
 
     def measure_level(self, n: int):
         """Exact level measure: (2m)^n."""
@@ -134,16 +151,6 @@ class CantorNest:
         """Fixed point of the left map, m*eps/(1-m); lies in every level."""
         m = self.params.m
         return m * self.params.eps / (1 - m)
-
-    def _children(self, ratio, offset):
-        """The maps x -> ratio*(m*x + m*eps) + offset and x -> ratio*(1 -
-        m*eps - m*x) + offset, each with its image of [0, 1], ordered left
-        to right by the sign of ratio; the images are disjoint."""
-        m, me, rest = self._m_offsets
-        c, t, u = ratio * m, ratio * me + offset, ratio * rest + offset
-        if ratio > 0:
-            return [((c, t), (t, c + t)), ((-c, u), (u - c, u))]
-        return [((-c, u), (u, u - c)), ((c, t), (c + t, t))]
 
     def deepest_component(self, n: int, x):
         """Deepest level k <= n whose component contains x, as (k, component,
@@ -157,54 +164,46 @@ class CantorNest:
         if not self.params.exact:
             return self._walk(n, x)
         x = Fraction(x)
-        e_num, e_den = self._eps
-        D, E = x.denominator * e_den, x.denominator * e_num
-        X = X0 = x.numerator * e_den
+        e, f = self._offsets
+        d = self.params.eps.denominator
+        D, E, G = x.denominator * d, x.denominator * e, x.denominator * (f - e)
+        X = X0 = x.numerator * d
         k = self._shift
-        sign = 1
         for j in range(n):
+            # (X << k) - E in the left child, else (X << k) - F in the
+            # right one, with G = F - E; the children are disjoint
             Y = (X << k) - E
+            if Y > D:
+                Y -= G
             if not 0 <= Y <= D:
-                Y = ((D - X) << k) - E
-                if not 0 <= Y <= D:
-                    return self._rebuild(j, sign, X0, X, D, E)
-                sign = -sign
+                return self._rebuild(j, X0, X, D)
             X = Y
-        return self._rebuild(n, sign, X0, X, D, E)
+        return self._rebuild(n, X0, X, D)
 
-    def _rebuild(self, j, sign, X0, X, D, E):
-        """(j, component, children) from the descent's state at level j.
-
-        The level-j component is the image of [0, 1] under y -> t + c*y
-        with c = sign * m^j, and it sends X/D to x = X0/D.  In units of
-        1/S, S = D 2^(k(j+1)), the component is [B, B + P] with P = D 2^k,
-        and its children, the images of [m eps, m(1 + eps)] and of its
-        reflection, are [B + E, B + D + E] and [B + P - D - E, B + P - E].
-        """
+    def _rebuild(self, j, X0, X, D):
+        """(j, component, children) from the descent's state at level j:
+        x = X0/D sits at X/D in its level-j component, whose left end is
+        B = (X0 << kj) - X over D 2^(kj) and whose width is D there."""
         k = self._shift
-        P, S = D << k, D << (k * (j + 1))
-        B = (X0 << (k * (j + 1))) - sign * (X << k)
-        if sign < 0:
-            B -= P
-        children = [(Fraction(B + E, S), Fraction(B + D + E, S)),
-                    (Fraction(B + P - D - E, S), Fraction(B + P - E, S))]
+        B = (X0 << (k * j)) - X
+        starts, _ = self._children([B], D)
+        S = D << (k * (j + 1))
+        children = [(Fraction(c, S), Fraction(c + D, S)) for c in starts]
         if j == 0:
             return 0, self.params.domain, children
-        return j, (Fraction(B, S), Fraction(B + P, S)), children
+        B <<= k
+        return j, (Fraction(B, S), Fraction(B + (D << k), S)), children
 
     def _walk(self, n, x):
-        # the descent of deepest_component through composed similarities
-        interval = self.params.domain
-        children = self._children(1.0, 0.0)
-        for k in range(n):
-            for f, (a, b) in children:
-                if a <= x <= b:
-                    interval = (a, b)
-                    break
-            else:
-                return k, interval, [iv for _, iv in children]
-            children = self._children(*f)
-        return n, interval, [iv for _, iv in children]
+        # the float descent of deepest_component, through the child rule
+        # from the level-0 component (0.0, 1.0)
+        interval, w = self.params.domain, 1.0
+        for j in range(n + 1):
+            (a, b), w = self._children([interval[0]], w)
+            children = [(a, a + w), (b, b + w)]
+            if j == n or not (a <= x <= a + w or b <= x <= b + w):
+                return j, interval, children
+            interval = children[x > a + w]
 
     def contains(self, n: int, x) -> bool:
         return self.deepest_component(n, x)[0] == n
@@ -216,8 +215,9 @@ def cantor_nest(p: CantorParams) -> CantorNest:
 
 
 def uniform_cantor(p: CantorParams, n: int) -> IntervalUnion:
-    """Level n of the equivalent middle-removal construction: the images of
-    [a, 1 - a], a = m*eps/(1-m), under the 2^n composed maps of the nest.
+    """Level n of the equivalent middle-removal construction: each level-n
+    component of the nest, of width w, inset by a*w at both ends, where
+    a = m*eps/(1-m) is the fixed point of the left map.
 
     The first removed middle has length (1-2m)(1-m-2m*eps)/(1-m), and
     every level is contained in the corresponding level of the plain nest.
@@ -225,21 +225,16 @@ def uniform_cantor(p: CantorParams, n: int) -> IntervalUnion:
     if n < 0:
         raise ParameterError("level index must be >= 0")
     nest = CantorNest(p)
-    if p.exact:
-        # [A, A + d] over S takes [a, 1 - a], a = e/(d g) with g = 2^k - 1,
-        # to [A g + e, (A + d) g - e] over S g, in either orientation
-        e, d = nest._eps
-        starts, S = [0], d
-        for j in range(n):
-            starts, S = nest._grow(starts, j)
-        g = (1 << nest._shift) - 1
-        return IntervalUnion._canonical(
-            p.domain, [(A * g + e, (A + d) * g - e) for A in starts], S * g)
-    maps = [(1.0, 0.0)]
+    starts, w = nest._starts, nest._width
     for _ in range(n):
-        maps = [f for ratio, offset in maps
-                for f, _ in nest._children(ratio, offset)]
+        starts, w = nest._children(starts, w)
+    if p.exact:
+        # a = e/(d g) with g = 2^k - 1, so [A, A + d] over S_n (w = d)
+        # shrinks to [A g + e, (A + d) g - e] over S_n g
+        e, g = p.eps.numerator, (1 << nest._shift) - 1
+        return IntervalUnion._canonical(
+            p.domain, [(A * g + e, (A + w) * g - e) for A in starts],
+            (w << (nest._shift * n)) * g)
     a = nest.fixed_point_left()
-    comps = [(r * a + t, r * (1 - a) + t) if r > 0 else
-             (r * (1 - a) + t, r * a + t) for r, t in maps]
-    return IntervalUnion(p.domain, comps)
+    lo, hi = w * a, w * (1 - a)
+    return IntervalUnion(p.domain, [(u + lo, u + hi) for u in starts])

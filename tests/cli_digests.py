@@ -53,6 +53,28 @@ COMMANDS = [
     "cantor --theta 1/2 --levels -1 --uniform",
     f"dim --input {SET}",
     f"dim --input {SET} --scales 1/16,1/32,1/64,1/128",
+    # float nests
+    "cantor --theta 0.4 --uniform --backend float --levels 5",
+    "cantor --theta 0.3 --uniform --levels 3",
+    "cantor --theta 0.35 --backend float --levels 6",
+    "check --family cantor-tietze --theta 0.4 --backend float --N 12",
+    "iset --family cantor-tietze --theta 0.4 --M 4 --N 8",
+    "anydh --theta 0.4 --backend float --M 3 --N 6",
+    # the rest of the command line
+    "jarnik --theta 1/2 --n 8",
+    "jarnik --theta 0.3 --n 6",
+    "liouville --n 8 --format csv",
+    "check --family jarnik --theta 1/2 --M 10 --N 12 --q-max 20",
+    "iset --family jarnik --theta 1/2 --M 4 --N 8 --q-max 20",
+    "check --family liouville --M 10 --N 12 --q-max 20",
+    "iset --family liouville --M 4 --N 8 --q-max 20",
+    "qam mean --gen power:2 --tuple 1,2,4",
+    "qam mean --gen exp:3 --tuple 1,2,4",
+    "qam maximal --N 20",
+    "qam compare --first power:1 --second log",
+    "dim --moran 1/4,1/3",
+    # exit 2: the float ratio underflows
+    "cantor --theta 0.00013 --levels 1",
 ]
 
 

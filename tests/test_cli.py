@@ -383,6 +383,8 @@ def test_dim_unreadable_input_is_a_parameter_error(capsys, tmp_path,
     "qam mean --gen power:1e400 --tuple 1,2",
     "qam mean --gen power:1 --tuple 1,1e400",
     "cantor --theta 1e400 --backend float",
+    # (1/2)^(1/theta) underflows to 0
+    "cantor --theta 0.00013 --levels 1",
 ])
 def test_number_past_float_range_is_a_parameter_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())

@@ -475,17 +475,17 @@ def test_value_is_one_descent(monkeypatch):
     calls = []
     children = CantorNest._children
 
-    def counting(self, ratio, offset):
-        calls.append((ratio, offset))
-        return children(self, ratio, offset)
+    def counting(self, starts, width):
+        calls.append((starts, width))
+        return children(self, starts, width)
 
     monkeypatch.setattr(CantorNest, "_children", counting)
     nest = cantor_nest(CantorParams(Fraction(1, 2)))
     fam = tietze_family(nest)
     assert fam.value(30, nest.fixed_point_left()) == 31
     assert fam.value(30, Fraction(1, 2)) == Fraction(1, 2)
-    # an exact nest descends on integer numerators and builds only the
-    # exit level's children, not a pair of children per level
+    # an exact nest descends on integer numerators and applies the child
+    # rule only at the exit level, not once per level
     assert len(calls) <= 2
 
 

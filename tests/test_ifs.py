@@ -49,6 +49,15 @@ def test_theta_out_of_range_rejected():
             CantorParams(theta)
 
 
+@pytest.mark.parametrize("inv", [1075.5, 1030.5, 1022.5])
+def test_float_ratio_below_normal_range_rejected(inv):
+    # 2^-1075.5 rounds to 0, 2^-1030.5 and 2^-1022.5 are subnormal: the
+    # first divided by zero, the second blamed eps, the third ran silently
+    theta = 1 / inv
+    with pytest.raises(ParameterError, match=f"theta={theta}"):
+        CantorParams(theta)
+
+
 def test_backend_selection():
     assert CantorParams(HALF).exact
     assert CantorParams(Fraction(1, 5)).exact
@@ -166,6 +175,25 @@ def test_uniform_cantor_start_and_removed_middle():
     # removed middle (1/3, 2/3) has length 1/3
     gap = C1.components[1][0] - C1.components[0][1]
     assert gap == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.35, 0.4, 0.45, 0.7])
+def test_float_uniform_cantor_insets_each_component(theta):
+    # each uniform component sits in its own level-n component, inset from
+    # both ends by a*m^n, a the left fixed point
+    p = CantorParams(theta)
+    nest = cantor_nest(p)
+    m, a = p.m, nest.fixed_point_left()
+    for n in range(9):
+        U, D = uniform_cantor(p, n), nest.level(n)
+        assert not U.exact and len(U.components) == 2 ** n
+        inset = a * m ** n
+        for (u, v), (lo, hi) in zip(U.components, D.components):
+            assert lo < u < v < hi
+            assert u - lo == pytest.approx(inset, abs=1e-12)
+            assert hi - v == pytest.approx(inset, abs=1e-12)
+        assert U.measure() == pytest.approx((2 * m) ** n * (1 - 2 * a),
+                                            abs=1e-12)
 
 
 def test_uniform_cantor_inside_nest_with_shrinking_gap():
@@ -311,3 +339,14 @@ def test_levels_match_composed_maps(data):
                       (uniform_cantor(p, n), sorted_images(maps, a, 1 - a))]:
         assert got.exact and same(got.domain, (0, 1))
         assert same(got.components, want)
+
+
+@pytest.mark.parametrize("theta", [0.3, 0.4, 0.7])
+def test_float_levels_match_composed_maps(theta):
+    nest = cantor_nest(CantorParams(theta))
+    for n in range(9):
+        got = nest.level(n).components
+        want = sorted_images(composed_maps(nest, n), 0, 1)
+        assert len(got) == len(want)
+        for comp, ref in zip(got, want):
+            assert comp == pytest.approx(ref, abs=1e-12)
