@@ -54,6 +54,9 @@ def _backend(args) -> str:
 
 
 def _emit(args, document, csv_rows=None, csv_header=None):
+    """Write the JSON document, or under ``--format csv`` the table that
+    the callable ``csv_rows`` returns, so that only the format written is
+    built."""
     fmt = getattr(args, "format", "json")
     out = getattr(args, "output", None)
     if fmt == "csv" and csv_rows is not None:
@@ -61,7 +64,7 @@ def _emit(args, document, csv_rows=None, csv_header=None):
         writer = csv.writer(buf)
         if csv_header:
             writer.writerow(csv_header)
-        writer.writerows(csv_rows)
+        writer.writerows(csv_rows())
         text = buf.getvalue()
     else:
         text = json.dumps(document, indent=2) + "\n"
@@ -104,7 +107,7 @@ def cmd_cantor(args):
         "uniform": bool(args.uniform), "backend": backend,
         "levels": {name: iu.to_json() for name, iu in levels},
     }
-    _emit(args, doc, csv_rows=_set_rows(levels),
+    _emit(args, doc, csv_rows=lambda: _set_rows(levels),
           csv_header=["level", "a", "b"])
 
 
@@ -150,8 +153,8 @@ def cmd_jarnik(args):
         "subinterval_integrals": integrals,
     }
     _emit(args, doc,
-          csv_rows=[[format_scalar(x), format_scalar(y)]
-                    for x, y in zip(pw.xs, pw.ys)],
+          csv_rows=lambda: [[format_scalar(x), format_scalar(y)]
+                            for x, y in zip(pw.xs, pw.ys)],
           csv_header=["x", "y"])
 
 
@@ -166,10 +169,10 @@ def cmd_iset(args):
     backend = _backend(args)
     fam = _family_from_tag(args.family, args, backend)
     est = divergence_estimate(fam, M=args.M, N=args.N)
-    rows = [[format_scalar(x), float(v), int(f)]
-            for x, v, f in zip(est.points, est.values, est.flags)]
     _emit(args, {"command": "iset", **est.to_json()},
-          csv_rows=rows, csv_header=["x", "value", "flagged"])
+          csv_rows=lambda: [[format_scalar(x), float(v), int(f)] for x, v, f
+                            in zip(est.points, est.values, est.flags)],
+          csv_header=["x", "value", "flagged"])
 
 
 def cmd_dim(args):
@@ -206,7 +209,7 @@ def cmd_dim(args):
     if warn:
         doc["warning"] = warn
     _emit(args, doc,
-          csv_rows=[[float(d), n] for d, n in est.counts],
+          csv_rows=lambda: [[float(d), n] for d, n in est.counts],
           csv_header=["delta", "count"])
 
 

@@ -3,9 +3,10 @@ contraction ratios, and box-counting estimates for interval unions."""
 
 from __future__ import annotations
 
+import bisect
 import math
+import operator
 from dataclasses import dataclass
-from typing import List, Tuple
 
 from .errors import ParameterError
 from .intervals import IntervalUnion
@@ -51,21 +52,31 @@ def box_count(A: IntervalUnion, delta) -> int:
     A closed endpoint lying exactly on a box boundary belongs to the box
     on its right, which is the deterministic tie-break that makes counts
     portable; the grid never extends past the domain.
+
+    The box index of an end a is (a - lo) // delta.  On an exact set it is
+    read from the scaled view: floor((A - LO) / (S delta)) on integers for
+    an exact delta, and for a float delta the cached float offset
+    (A - LO) / S, which is float(a - lo), floor-divided by delta.
+    The indices of the ends in order never decrease, so each component
+    shares at most the box it starts in with the one before.
     """
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     lo, hi = A.domain
     n_boxes = -((hi - lo) // -delta)  # ceil division
     last = int(n_boxes) - 1
-    covered: List[Tuple[int, int]] = []
-    for a, b in A.components:
-        k_min = min(int((a - lo) // delta), last)
-        k_max = min(int((b - lo) // delta), last)
-        if covered and k_min <= covered[-1][1] + 1:
-            covered[-1] = (covered[-1][0], max(covered[-1][1], k_max))
-        else:
-            covered.append((k_min, k_max))
-    return sum(k2 - k1 + 1 for k1, k2 in covered)
+    if A.exact and A._scaled and not isinstance(delta, float):
+        S, LO, _, pairs = A._scaled
+        num, den = delta.numerator * S, delta.denominator
+        ks = [(x - LO) * den // num for pair in pairs for x in pair]
+    else:
+        ks = [int(x // delta) for x in A._offsets]
+    # the grid stops at the domain's end
+    past = bisect.bisect_right(ks, last)
+    ks[past:] = [last] * (len(ks) - past)
+    starts, ends = ks[::2], ks[1::2]
+    return sum(ends) - sum(starts) + len(starts) - sum(
+        map(operator.eq, starts[1:], ends))
 
 
 @dataclass(frozen=True)

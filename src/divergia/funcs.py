@@ -58,6 +58,15 @@ class PiecewiseLinear:
         object.__setattr__(self, "ys", ys)
 
     @classmethod
+    def _trusted(cls, xs, ys) -> "PiecewiseLinear":
+        """The function on knots already known to be valid, as ``_merge``
+        yields them, without the check of ``__init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "xs", tuple(xs))
+        object.__setattr__(self, "ys", tuple(ys))
+        return self
+
+    @classmethod
     def from_knots(cls, knots) -> "PiecewiseLinear":
         xs, ys = zip(*knots)
         return cls(xs, ys)
@@ -105,7 +114,8 @@ class PiecewiseLinear:
         for x, a, b in _merge(self, other):
             xs.append(x)
             ys.append(a + b)
-        return PiecewiseLinear(xs, ys)
+        # _merge yields at least two strictly increasing knots
+        return PiecewiseLinear._trusted(xs, ys)
 
     def scale(self, c) -> "PiecewiseLinear":
         return PiecewiseLinear(self.xs, tuple(c * y for y in self.ys))

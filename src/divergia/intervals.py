@@ -5,6 +5,14 @@ disjoint and strictly separated (touching or overlapping components are
 merged).  Degenerate components [a, a] are allowed; they contribute zero
 measure.  On the float backend, components whose gap is below TOL are
 merged to avoid spurious slivers.
+
+Operations on two sets walk their sorted endpoint lists once.  They read
+each set's scaled view (``_scaled``): on the exact backend a common
+denominator S and every endpoint as an integer numerator over S, so that
+the walk compares integers; on the float backend S = 1 and the values
+themselves.  Results keep the input endpoint objects and the domain ends,
+so they have the values and types that sorting and merging the objects
+gives, and they are built without a re-sort or re-check.
 """
 
 from __future__ import annotations
@@ -13,9 +21,25 @@ import bisect
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from heapq import merge
+from itertools import chain
+from math import lcm
+from operator import itemgetter
 
 from .errors import ParameterError, require_same_domain
 from .scalars import TOL, format_scalar, is_exact, meet, parse_scalar
+
+
+#: the largest common denominator, in bits, of a scaled view: past it the
+#: numerators would cost more than the Fractions, and the walks compare the
+#: endpoint objects instead
+_MAX_BITS = 1024
+
+
+def _all_exact(domain, components):
+    lo, hi = domain
+    return is_exact(lo) and is_exact(hi) and all(
+        is_exact(a) and is_exact(b) for a, b in components)
 
 
 def _canonicalize(components, lo, hi, exact):
@@ -49,14 +73,25 @@ class IntervalUnion:
         if not lo < hi:
             raise ParameterError(f"domain [{lo}, {hi}] must have lo < hi")
         components = [tuple(c) for c in components]
-        exact = is_exact(lo) and is_exact(hi) and all(
-            is_exact(a) and is_exact(b) for a, b in components)
+        exact = _all_exact(domain, components)
         object.__setattr__(self, "domain", (lo, hi))
         object.__setattr__(self, "exact", exact)
         object.__setattr__(
             self, "components", _canonicalize(components, lo, hi, exact))
 
     # -- constructors ---------------------------------------------------
+
+    @classmethod
+    def _built(cls, domain, components, exact, scaled=None):
+        """The set of ``components`` already in canonical form, unchecked,
+        with its scaled view when the caller knows it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "domain", tuple(domain))
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "components", tuple(components))
+        if scaled is not None:
+            object.__setattr__(self, "_scaled", scaled)
+        return self
 
     @classmethod
     def _canonical(cls, domain, numerators, denominator):
@@ -72,13 +107,14 @@ class IntervalUnion:
                 raise ParameterError(f"[{a}, {b}] over {denominator} is out "
                                      f"of canonical order in [{lo}, {hi}]")
             start = b + 1  # the least integer strictly past b
-        self = object.__new__(cls)
-        object.__setattr__(self, "domain", (lo, hi))
-        object.__setattr__(self, "exact", True)
-        object.__setattr__(self, "components", tuple(
+        # the view's denominator also holds the domain ends
+        S = lcm(denominator, lo.denominator, hi.denominator)
+        pairs = _times(numerators, S // denominator)
+        return cls._built(domain, (
             (Fraction(a, denominator), Fraction(b, denominator))
-            for a, b in numerators))
-        return self
+            for a, b in numerators), True, (
+            S, lo.numerator * (S // lo.denominator),
+            hi.numerator * (S // hi.denominator), pairs))
 
     @classmethod
     def empty(cls, domain):
@@ -96,6 +132,36 @@ class IntervalUnion:
     def measure(self):
         """Total length of all components (0 for the empty set)."""
         return sum((b - a for a, b in self.components), 0)
+
+    @cached_property
+    def _scaled(self):
+        """(S, LO, HI, pairs): on the exact backend a common denominator S
+        of the domain ends and the endpoints, the domain ends as integers
+        LO and HI over S, and each component as its pair of numerators
+        over S, or None past ``_MAX_BITS``; on the float backend S = 1 and
+        the values themselves."""
+        lo, hi = self.domain
+        if not self.exact:
+            return 1, lo, hi, self.components
+        ends = [lo, hi] + [v for comp in self.components for v in comp]
+        S = 1
+        for d in {v.denominator for v in ends}:
+            S = lcm(S, d)
+            if S.bit_length() > _MAX_BITS:
+                return None
+        LO, HI, *nums = [v.numerator * (S // v.denominator) for v in ends]
+        return S, LO, HI, list(zip(nums[::2], nums[1::2]))
+
+    @cached_property
+    def _offsets(self):
+        """The offset from the domain's left end of each component end, in
+        order: from a scaled exact view the float (A - LO) / S, which rounds
+        correctly as float(a - lo) does, and otherwise a - lo itself."""
+        if self.exact and self._scaled:
+            S, LO, _, pairs = self._scaled
+            return [(x - LO) / S for pair in pairs for x in pair]
+        lo = self.domain[0]
+        return [x - lo for comp in self.components for x in comp]
 
     @cached_property
     def _starts(self):
@@ -124,80 +190,110 @@ class IntervalUnion:
         return best
 
     # -- set algebra ----------------------------------------------------
+    #
+    # Each walk reads the scaled views of its operands at one denominator
+    # and carries the endpoint objects beside them.  Mixed-backend operands
+    # meet as floats first.
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
         require_same_domain(self, other)
         a, b = meet(self, other)
-        return IntervalUnion(a.domain, a.components + b.components)
+        S, LO, HI, P, Q = _common(a, b)
+        # merge keeps a's component first on a tie, as a stable sort of
+        # a's components followed by b's does
+        ends, comps = _coalesce(merge(
+            zip(P, a.components), zip(Q, b.components), key=itemgetter(0)),
+            0 if a.exact else TOL)
+        return _walked(a, comps, a.exact, (S, LO, HI, ends))
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
         require_same_domain(self, other)
         a, b = meet(self, other)
-        out = []
+        S, LO, HI, P, Q = _common(a, b)
+        A, B = a.components, b.components
+        ends, comps = [], []
         i = j = 0
-        a_comps, b_comps = a.components, b.components
-        while i < len(a_comps) and j < len(b_comps):
-            a1, b1 = a_comps[i]
-            a2, b2 = b_comps[j]
-            left, right = max(a1, a2), min(b1, b2)
-            if left <= right:
-                out.append((left, right))
-            if b1 < b2:
+        while i < len(P) and j < len(Q):
+            (x1, y1), (x2, y2) = P[i], Q[j]
+            # max and min keep a's end on a tie
+            x, u = (x2, B[j][0]) if x2 > x1 else (x1, A[i][0])
+            y, v = (y2, B[j][1]) if y2 < y1 else (y1, A[i][1])
+            if x <= y:
+                ends.append((x, y))
+                comps.append((u, v))
+            if y1 < y2:
                 i += 1
             else:
                 j += 1
-        return IntervalUnion(a.domain, out)
+        # the pieces are strictly separated by a gap of a or of b
+        return _walked(a, comps, a.exact or _all_exact(a.domain, comps),
+                       (S, LO, HI, ends))
 
     def complement(self) -> "IntervalUnion":
         """Closure of the set complement within the domain."""
         lo, hi = self.domain
-        out = []
-        cursor = lo
-        for a, b in self.components:
-            if a > cursor:
-                out.append((cursor, a))
-            cursor = max(cursor, b)
-        if cursor < hi:
-            out.append((cursor, hi))
-        return IntervalUnion(self.domain, out)
+        S, LO, HI, P, _ = _common(self, self)
+
+        def gaps():
+            X, x = LO, lo  # the cursor, as numerator and object
+            for (A, B), (a, b) in zip(P, self.components):
+                if A > X:
+                    yield (X, A), (x, a)
+                if B > X:
+                    X, x = B, b
+            if X < HI:
+                yield (X, HI), (x, hi)
+
+        # canonical form joins two gaps across a degenerate component (or
+        # one below TOL on floats); the gaps decide the backend, as the
+        # constructor decides it from its input
+        pieces = list(gaps())
+        exact = self.exact or _all_exact(self.domain, (g for _, g in pieces))
+        ends, comps = _coalesce(pieces, 0 if exact else TOL)
+        return _walked(self, comps, exact, (S, LO, HI, ends))
 
     def _owners(self, other: "IntervalUnion"):
         """Each component of self with the index of the last component of
-        other that starts at or before it (-1 for none), in one walk over
-        both sorted lists."""
-        outer, j = other.components, -1
-        for comp in self.components:
-            while j + 1 < len(outer) and outer[j + 1][0] <= comp[0]:
-                j += 1
-            yield j, comp
+        other that starts at or before it (-1 for none): ``_owners`` over
+        the views of two sets of one backend, else over the objects."""
+        P, Q = _common(self, other)[3:] if self.exact == other.exact \
+            else (self.components, other.components)
+        return ((j, comp) for (j, _), comp in
+                zip(_owners(P, Q), self.components))
 
     def subset_of(self, other: "IntervalUnion") -> bool:
         require_same_domain(self, other)
-        tol = 0 if (self.exact and other.exact) else TOL
-        return all(j >= 0 and b <= other.components[j][1] + tol
-                   for j, (_, b) in self._owners(other))
+        a, b = meet(self, other)
+        P, Q = _common(a, b)[3:]
+        tol = 0 if a.exact else TOL
+        return all(j >= 0 and y <= Q[j][1] + tol
+                   for j, (_, y) in _owners(P, Q))
 
     def subset_of_relative_interior(self, other: "IntervalUnion") -> bool:
         """True iff every component of self sits strictly inside a component
         of other, except at sides where other reaches a domain endpoint
         (interior is taken relative to the domain)."""
         require_same_domain(self, other)
-        lo, hi = self.domain
-        tol = 0 if (self.exact and other.exact) else TOL
-        for j, (a, b) in self._owners(other):
+        a, b = meet(self, other)
+        _, lo, hi, P, Q = _common(a, b)
+        tol = 0 if a.exact else TOL
+        for j, (x, y) in _owners(P, Q):
             if j < 0:
                 return False
-            c, d = other.components[j]
-            if b > d + tol:
+            c, d = Q[j]
+            if y > d + tol:
                 return False
-            left_ok = (c < a - tol) or (c <= lo + tol)
-            right_ok = (b < d - tol) or (d >= hi - tol)
+            left_ok = (c < x - tol) or (c <= lo + tol)
+            right_ok = (y < d - tol) or (d >= hi - tol)
             if not (left_ok and right_ok):
                 return False
         return True
 
     def as_float(self) -> "IntervalUnion":
-        """This set on the float backend, each endpoint converted once."""
+        """This set on the float backend, each endpoint converted once; a
+        float set is itself."""
+        if not self.exact:
+            return self
         lo, hi = self.domain
         comps = [(float(a), float(b)) for a, b in self.components]
         return IntervalUnion((float(lo), float(hi)), comps)
@@ -205,10 +301,10 @@ class IntervalUnion:
     # -- serialization --------------------------------------------------
 
     def to_json(self) -> dict:
+        end = _ratio if self.exact else _number
         return {
             "domain": [format_scalar(v) for v in self.domain],
-            "components": [[format_scalar(a), format_scalar(b)]
-                           for a, b in self.components],
+            "components": [[end(a), end(b)] for a, b in self.components],
         }
 
     @classmethod
@@ -223,20 +319,148 @@ def hausdorff_distance(A: IntervalUnion, B: IntervalUnion):
     """Hausdorff distance between two nonempty closed interval unions.
 
     The directed distance sup_{x in A} d(x, B) is attained either at a
-    component endpoint of A or at a gap midpoint of B lying inside A.
+    component endpoint of A or at a gap midpoint of B lying inside A.  On
+    the exact backend ``_directed`` walks the numerators doubled, so that
+    the midpoints stay integers, and the distance of the first point that
+    attains the maximum is then taken on the objects, as a search over
+    the candidate points in order gives it.
     """
     require_same_domain(A, B)
     if A.is_empty() and B.is_empty():
         return 0
     if A.is_empty() or B.is_empty():
         raise ParameterError("Hausdorff distance needs both sets nonempty")
+    A, B = meet(A, B)
+    S, _, _, P, Q = _common(A, B)
+    if not A.exact or S is None:
+        return max(_directed(A.components, B.components, _half)[0],
+                   _directed(B.components, A.components, _half)[0])
+    P, Q = _times(P, 2), _times(Q, 2)
 
-    def directed(src, dst):
-        candidates = [p for comp in src.components for p in comp]
-        for i in range(len(dst.components) - 1):
-            gap_mid = (dst.components[i][1] + dst.components[i + 1][0]) / 2
-            if src.contains_point(gap_mid):
-                candidates.append(gap_mid)
-        return max(dst.distance_to_point(x) for x in candidates)
+    def directed(src, dst, k):
+        # the distance of candidate k of _directed, on the objects
+        n = 2 * len(src.components)
+        if k < n:
+            x = src.components[k // 2][k % 2]
+        else:
+            x = _half(dst.components[k - n][1], dst.components[k - n + 1][0])
+        return dst.distance_to_point(x)
 
-    return max(directed(A, B), directed(B, A))
+    return max(directed(A, B, _directed(P, Q, _exact_half)[1]),
+               directed(B, A, _directed(Q, P, _exact_half)[1]))
+
+
+# ----------------------------------------------------------------------
+# the walks
+# ----------------------------------------------------------------------
+
+def _ratio(x):
+    return f"{x.numerator}/{x.denominator}"
+
+
+def _number(x):
+    return x if type(x) is float else format_scalar(x)
+
+
+def _half(b, a):
+    return (b + a) / 2
+
+
+def _exact_half(b, a):
+    return (b + a) >> 1  # of two doubled numerators
+
+
+def _times(pairs, f):
+    return pairs if f == 1 else [(a * f, b * f) for a, b in pairs]
+
+
+def _common(a, b):
+    """The scaled views of a and b, of one backend, at one denominator, as
+    (S, LO, HI, P, Q) with a's domain ends; past ``_MAX_BITS`` S is None
+    and P, Q, LO and HI are the objects."""
+    if a._scaled and b._scaled:
+        S, LO, HI, P = a._scaled
+        T, _, _, Q = b._scaled
+        if S == T:
+            return S, LO, HI, P, Q
+        L = lcm(S, T)
+        if L.bit_length() <= _MAX_BITS:
+            f = L // S
+            return L, LO * f, HI * f, _times(P, f), _times(Q, L // T)
+    lo, hi = a.domain
+    return None, lo, hi, a.components, b.components
+
+
+def _walked(a, components, exact, scaled):
+    """A walk's result on a's domain, with the walk's numerators as its
+    view when they are an exact one."""
+    return IntervalUnion._built(a.domain, components, exact,
+                                scaled if a.exact and scaled[0] else None)
+
+
+def _coalesce(stream, tol):
+    """The pairs of ``stream``, (numerators, objects) in sorted order, with
+    each one that starts at most ``tol`` past the end of the one before
+    joined to it, as canonical form joins them: (numerators, objects)."""
+    ends, comps = [], []
+    for (x, y), (u, v) in stream:
+        if ends and x <= ends[-1][1] + tol:
+            if y > ends[-1][1]:
+                ends[-1] = (ends[-1][0], y)
+                comps[-1] = (comps[-1][0], v)
+        else:
+            ends.append((x, y))
+            comps.append((u, v))
+    return ends, comps
+
+
+def _owners(inner, outer):
+    """Each pair of ``inner`` with the index of the last pair of ``outer``
+    that starts at or before it (-1 for none), in one walk over both
+    sorted lists."""
+    j, last = -1, len(outer) - 1
+    for pair in inner:
+        while j < last and outer[j + 1][0] <= pair[0]:
+            j += 1
+        yield j, pair
+
+
+def _directed(src, dst, mid):
+    """The largest distance from a candidate point to ``dst``, and the
+    index of the first candidate that attains it, over sorted disjoint
+    pairs.  The candidates are the ends of ``src`` in order (index 2i and
+    2i + 1 for pair i), then the midpoints ``mid(b, a)`` of the gaps
+    (b, a) of ``dst`` that lie in ``src`` (index 2 len(src) + g for gap
+    g).  Each distance is the one ``distance_to_point`` gives."""
+    n = len(dst)
+
+    def distances(points):
+        i = 0
+        for x in points:
+            while i < n and dst[i][0] <= x:
+                i += 1
+            d = None
+            for a, b in dst[max(i - 1, 0):i + 1]:
+                e = max(a - x, x - b, 0)
+                d = e if d is None else min(d, e)
+            yield d
+
+    def mids():
+        s, m = 0, len(src)
+        for g in range(n - 1):
+            x = mid(dst[g][1], dst[g + 1][0])
+            while s < m and src[s][0] <= x:
+                s += 1
+            if s and x <= src[s - 1][1]:
+                yield 2 * m + g, x
+
+    found = list(mids())
+    candidates = chain(
+        enumerate(distances(x for pair in src for x in pair)),
+        zip([k for k, _ in found], distances([x for _, x in found])))
+    best = k_best = None
+    for k, d in candidates:
+        if best is None or d > best:
+            best, k_best = d, k
+    return best, k_best
+

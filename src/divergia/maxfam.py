@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, inf
+from math import gcd, inf, lcm
 from typing import Optional
 
 from .errors import ParameterError, require_same_domain
@@ -93,13 +93,17 @@ def default_grid(domain, points: int = 1000, q_max: int = 20):
     """Equispaced points plus all reduced rationals p/q with q <= q_max,
     mapped affinely onto the domain."""
     lo, hi = domain
-    fractions = {Fraction(k, points) for k in range(points + 1)}
+    # each t in [0, 1] as its numerator over L, sorted as integers
+    L = lcm(points, *range(1, q_max + 1))
+    keys = set(range(0, L + 1, L // points))
     for q in range(1, q_max + 1):
-        for p in range(q + 1):
-            if gcd(p, q) == 1:
-                fractions.add(Fraction(p, q))
-    # float ends make every point a float
-    return [lo + (hi - lo) * t for t in sorted(fractions)]
+        keys.update(p * (L // q) for p in range(q + 1) if gcd(p, q) == 1)
+    span = hi - lo
+    if isinstance(span, float):
+        # float ends make every point a float: span * t converts t first,
+        # and k / L rounds as float(Fraction(k, L)) does
+        return [lo + span * (k / L) for k in sorted(keys)]
+    return [Fraction(lo * L + span * k, L) for k in sorted(keys)]
 
 
 @dataclass(frozen=True)

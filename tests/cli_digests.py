@@ -30,8 +30,11 @@ from divergia.cli import main
 
 MANIFEST = Path(__file__).with_name("cli_digests.json")
 
-#: the `dim --input` commands read this set, written to a scratch file
+#: the `dim --input` commands read these sets, written to scratch files:
+#: a level of the exact nest at theta = 1/3 and of the float one at 0.4
 SET = "{set}"
+FLOAT_SET = "{float_set}"
+SETS = {SET: Fraction(1, 3), FLOAT_SET: 0.4}
 
 COMMANDS = [
     *(f"cantor --theta 1/{k} --levels {levels}{extra}"
@@ -75,14 +78,18 @@ COMMANDS = [
     "dim --moran 1/4,1/3",
     # exit 2: the float ratio underflows
     "cantor --theta 0.00013 --levels 1",
+    f"dim --input {FLOAT_SET}",
+    "cantor --theta 0.4 --backend float --levels 8 --format csv",
 ]
 
 
-def digest(argv: str, set_path: str) -> str:
+def digest(argv: str, set_paths: dict) -> str:
     """SHA-256 over the exit code, stdout and stderr of one command."""
+    for name, path in set_paths.items():
+        argv = argv.replace(name, path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv.replace(SET, set_path).split())
+        code = main(argv.split())
     blob = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -90,10 +97,12 @@ def digest(argv: str, set_path: str) -> str:
 def digests() -> dict:
     """The digest of every command in ``COMMANDS``, by command line."""
     with tempfile.TemporaryDirectory() as tmp:
-        set_path = str(Path(tmp) / "set.json")
-        level = cantor_nest(CantorParams(Fraction(1, 3))).level(5)
-        Path(set_path).write_text(json.dumps(level.to_json()))
-        return {argv: digest(argv, set_path) for argv in COMMANDS}
+        set_paths = {}
+        for name, theta in SETS.items():
+            path = set_paths[name] = str(Path(tmp) / f"{name[1:-1]}.json")
+            level = cantor_nest(CantorParams(theta)).level(5)
+            Path(path).write_text(json.dumps(level.to_json()))
+        return {argv: digest(argv, set_paths) for argv in COMMANDS}
 
 
 if __name__ == "__main__":

@@ -31,6 +31,17 @@ def test_cantor_csv(capsys):
     assert "level_1,1/8,3/8" in lines
 
 
+def test_csv_rows_built_only_for_csv(capsys, monkeypatch):
+    import divergia.cli as cli
+    built = []
+    set_rows = cli._set_rows
+    monkeypatch.setattr(cli, "_set_rows",
+                        lambda sets: built.append(1) or set_rows(sets))
+    argv = ["cantor", "--theta", "1/2", "--levels", "2"]
+    assert run(capsys, *argv)[0] == 0 and not built
+    assert run(capsys, *argv, "--format", "csv")[0] == 0 and built
+
+
 def test_cantor_uniform(capsys):
     code, out, _ = run(capsys, "cantor", "--theta", "1/2", "--levels", "0",
                        "--uniform")

@@ -187,6 +187,16 @@ def test_add_and_sub_match_sorted_union_reference(f, g):
         _signature(_reference_add(f, g.scale(-1)))
 
 
+@given(mixed_pl(), mixed_pl())
+def test_add_builds_knots_the_checked_constructor_accepts(f, g):
+    # add skips the strict-increase check that __init__ keeps
+    h = f.add(g)
+    assert PiecewiseLinear(h.xs, h.ys) == h
+    assert all(a < b for a, b in zip(h.xs, h.xs[1:]))
+    with pytest.raises(ParameterError):
+        PiecewiseLinear(h.xs[::-1], h.ys)
+
+
 @given(mixed_pl(), st.lists(st.booleans().flatmap(
     lambda nonneg: mixed_pl(nonnegative=nonneg)), min_size=1, max_size=3))
 def test_monotone_check_matches_sorted_union_reference(base, steps):

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divergia import (CantorParams, IntervalUnion, ParameterError,
+from divergia import (CantorParams, IntervalUnion, ParameterError, box_count,
                       cantor_nest, hausdorff_distance, uniform_cantor)
-from divergia.scalars import TOL
+from divergia.scalars import TOL, meet
 
 DOMAIN = (0, 1)
 
@@ -365,3 +365,274 @@ def test_subset_walk_matches_brute_force(backend, data):
     assert inner.subset_of(outer) is brute_subset(inner, outer, False)
     assert inner.subset_of_relative_interior(outer) is \
         brute_subset(inner, outer, True)
+
+
+# ----------------------------------------------------------------------
+# the walks against references over the endpoint objects
+# ----------------------------------------------------------------------
+
+def reference_union(A, B):
+    """Sort the concatenated components and merge them, as the
+    constructor does."""
+    a, b = meet(A, B)
+    return IntervalUnion(a.domain, a.components + b.components)
+
+
+def reference_intersect(A, B):
+    a, b = meet(A, B)
+    out = []
+    i = j = 0
+    while i < len(a.components) and j < len(b.components):
+        a1, b1 = a.components[i]
+        a2, b2 = b.components[j]
+        left, right = max(a1, a2), min(b1, b2)
+        if left <= right:
+            out.append((left, right))
+        if b1 < b2:
+            i += 1
+        else:
+            j += 1
+    return IntervalUnion(a.domain, out)
+
+
+def reference_complement(A):
+    lo, hi = A.domain
+    out, cursor = [], lo
+    for a, b in A.components:
+        if a > cursor:
+            out.append((cursor, a))
+        cursor = max(cursor, b)
+    if cursor < hi:
+        out.append((cursor, hi))
+    return IntervalUnion(A.domain, out)
+
+
+def reference_subset(A, B, interior):
+    """Each component of A against the last component of B starting at or
+    before it, found by a bisect over B's starts."""
+    a, b = meet(A, B)
+    lo, hi = a.domain
+    tol = 0 if a.exact else TOL
+    starts = [c for c, _ in b.components]
+    for x, y in a.components:
+        j = bisect.bisect_right(starts, x) - 1
+        if j < 0:
+            return False
+        c, d = b.components[j]
+        if y > d + tol:
+            return False
+        if interior and not ((c < x - tol or c <= lo + tol)
+                             and (y < d - tol or d >= hi - tol)):
+            return False
+    return True
+
+
+def reference_box_count(A, delta):
+    lo, hi = A.domain
+    last = int(-((hi - lo) // -delta)) - 1
+    covered = []
+    for a, b in A.components:
+        k_min = min(int((a - lo) // delta), last)
+        k_max = min(int((b - lo) // delta), last)
+        if covered and k_min <= covered[-1][1] + 1:
+            covered[-1] = (covered[-1][0], max(covered[-1][1], k_max))
+        else:
+            covered.append((k_min, k_max))
+    return sum(k2 - k1 + 1 for k1, k2 in covered)
+
+
+def typed(U):
+    """A set with the type of every value in it."""
+    return U.exact, [(v, type(v)) for comp in (U.domain,) + U.components
+                     for v in comp]
+
+
+def assert_same_set(got, want):
+    assert typed(got) == typed(want)
+
+
+def near(x):
+    # within TOL of a grid point, to meet the float merge rule
+    return st.sampled_from([0.0, 4e-13, -4e-13, 2e-12]).map(
+        lambda e: min(max(x + e, 0.0), 1.0))
+
+
+# exact ends mix int 0 and 1 with Fractions, so that equal ends of
+# different types tie; float ends sit on a grid, near it, or anywhere
+EXACT_END = st.one_of(st.fractions(0, 1, max_denominator=12),
+                      st.sampled_from([0, 1, Fraction(1, 2)]))
+GRID = st.integers(0, 16).map(lambda i: i / 16)
+FLOAT_END = st.one_of(GRID, GRID.flatmap(near), st.floats(0, 1))
+
+
+def unions(end, domain):
+    return st.lists(st.tuples(end, end).map(sorted), max_size=6).map(
+        lambda cs: IntervalUnion(domain, cs))
+
+
+EXACT_SET = st.one_of(unions(EXACT_END, DOMAIN),
+                      st.just(IntervalUnion.full(DOMAIN)))
+FLOAT_SET = unions(FLOAT_END, (0.0, 1.0))
+PAIRS = st.one_of(st.tuples(EXACT_SET, EXACT_SET),
+                  st.tuples(FLOAT_SET, FLOAT_SET),
+                  st.tuples(EXACT_SET, FLOAT_SET),
+                  st.tuples(FLOAT_SET, EXACT_SET))
+DELTAS = st.sampled_from([Fraction(1, 3), Fraction(1, 16), Fraction(2, 7),
+                          1, 0.25, 0.1, 1 / 3, 2.0 ** -7])
+
+
+@settings(max_examples=300)
+@given(PAIRS)
+def test_walks_match_references(pair):
+    A, B = pair
+    assert_same_set(A.union(B), reference_union(A, B))
+    assert_same_set(A.intersect(B), reference_intersect(A, B))
+    assert_same_set(A.complement(), reference_complement(A))
+    for interior in (False, True):
+        test = A.subset_of_relative_interior if interior else A.subset_of
+        assert test(B) is reference_subset(A, B, interior)
+
+
+@settings(max_examples=200)
+@given(st.one_of(EXACT_SET, FLOAT_SET), DELTAS)
+def test_box_count_matches_reference(A, delta):
+    got, want = box_count(A, delta), reference_box_count(A, delta)
+    assert type(got) is type(want) and got == want
+
+
+@settings(max_examples=200)
+@given(PAIRS.filter(lambda p: not (p[0].is_empty() or p[1].is_empty())))
+def test_hausdorff_walk_matches_reference(pair):
+    got, want = hausdorff_distance(*pair), reference_hausdorff(*meet(*pair))
+    assert type(got) is type(want) and got == want
+
+
+@pytest.mark.parametrize("comps", [
+    [(Fraction(1, 4), Fraction(1, 2))],
+    [(0, Fraction(1, 3)), (Fraction(2, 3), 1)],
+    [(0, 0), (1, 1)],  # int ends on both sides of the gap
+])
+def test_zero_hausdorff_distance(comps):
+    A = IntervalUnion(DOMAIN, comps)
+    assert_same_hausdorff(A, A)
+    assert hausdorff_distance(A, A) == 0
+
+
+def test_exact_result_of_a_float_set_is_exact():
+    # a float end that no result keeps leaves an exact result, and the
+    # gaps decide that before canonical form joins them (not within TOL)
+    tiny = Fraction(1, 10 ** 13)
+    A = IntervalUnion(DOMAIN, [(Fraction(1, 2), Fraction(1, 2) + tiny),
+                               (Fraction(3, 4), 1.0)])
+    assert not A.exact
+    assert_same_set(A.complement(), reference_complement(A))
+    assert A.complement().exact and len(A.complement().components) == 2
+    B = IntervalUnion(DOMAIN, [(0.0, Fraction(1, 2))])
+    C = IntervalUnion(DOMAIN, [(Fraction(1, 4), 0.75)])
+    assert_same_set(B.intersect(C), reference_intersect(B, C))
+    assert B.intersect(C).exact
+
+
+def test_int_gap_midpoint_keeps_its_float():
+    # (0 + 1) / 2 is the float 0.5 on the objects, as before the walk
+    A = IntervalUnion(DOMAIN, [(0, 0), (1, 1)])
+    B = IntervalUnion.full(DOMAIN)
+    assert_same_hausdorff(A, B)
+    assert type(hausdorff_distance(A, B)) is float
+
+
+def test_int_domain_ends_survive():
+    A = IntervalUnion(DOMAIN, [(Fraction(1, 4), Fraction(1, 2))])
+    C = A.complement()
+    assert C.components == ((0, Fraction(1, 4)), (Fraction(1, 2), 1))
+    assert type(C.components[0][0]) is int and type(C.components[1][1]) is int
+    full = IntervalUnion.full(DOMAIN)
+    assert_same_set(full.union(A), reference_union(full, A))
+    assert type(full.union(A).components[0][1]) is int
+    assert_same_set(full.intersect(A), reference_intersect(full, A))
+    assert_same_set(A.intersect(full), reference_intersect(A, full))
+
+
+def test_equal_ends_of_different_types_tie_as_sorting_does():
+    A = IntervalUnion(DOMAIN, [(Fraction(1, 2), 1)])
+    B = IntervalUnion(DOMAIN, [(Fraction(1, 2), Fraction(1))])
+    for X, Y in ((A, B), (B, A)):
+        assert_same_set(X.union(Y), reference_union(X, Y))
+        assert_same_set(X.intersect(Y), reference_intersect(X, Y))
+    assert type(A.union(B).components[0][1]) is int
+    assert type(B.union(A).components[0][1]) is Fraction
+
+
+def test_results_carry_their_scaled_view():
+    params = CantorParams(Fraction(1, 3))
+    A, B = cantor_nest(params).level(4), uniform_cantor(params, 3)
+    for U in (A, B, A.union(B), A.intersect(B), A.complement()):
+        S, LO, HI, pairs = U._scaled
+        assert (Fraction(LO, S), Fraction(HI, S)) == U.domain
+        assert [(Fraction(a, S), Fraction(b, S)) for a, b in pairs] == \
+            list(U.components)
+
+
+def test_mixed_backend_subset_meets_as_floats():
+    # 0.1 lies above 1/10, so the objects put no start of B at or before
+    # 1/10; as floats the exact set starts at 0.1 too
+    A = IntervalUnion(DOMAIN, [(Fraction(1, 10), Fraction(1, 2))])
+    B = IntervalUnion((0.0, 1.0), [(0.1, 0.5)])
+    assert A.subset_of(B)
+    assert hausdorff_distance(A, B) == 0.0
+
+
+def test_as_float_of_a_float_set_is_the_set():
+    A = IntervalUnion((0.0, 1.0), [(0.125, 0.25)])
+    assert A.as_float() is A
+    exact = IntervalUnion(DOMAIN, [(Fraction(1, 8), Fraction(1, 4))])
+    assert exact.as_float() == A
+
+
+def spread_set(rng, den, k=100):
+    """k components with ends over random denominators in [den, 2 den)."""
+    ends = sorted({Fraction(rng.randrange(1, den), rng.randrange(den, 2 * den))
+                   for _ in range(2 * k)})
+    return IntervalUnion(DOMAIN, list(zip(ends[::2], ends[1::2])))
+
+
+def test_float_offsets_round_once():
+    # numerators past 2**53 over 3**100: float(A - LO) / S would round
+    # twice, and 48 of these 200 offsets would move
+    rng = random.Random(3)
+    q = 3 ** 100
+    ends = sorted({Fraction(rng.randrange(q), q) for _ in range(200)})
+    A = IntervalUnion(DOMAIN, list(zip(ends[::2], ends[1::2])))
+    assert A._scaled is not None
+    assert A._offsets == [float(a) for comp in A.components for a in comp]
+    for delta in (1e-3, 1 / 3, 2.0 ** -20):
+        assert box_count(A, delta) == reference_box_count(A, delta)
+
+
+def test_walks_past_the_view_bound_compare_objects():
+    # the lcm of 200 random 13-digit denominators has far more than
+    # _MAX_BITS bits, so the walks read the Fractions themselves
+    A = spread_set(random.Random(5), 10 ** 12)
+    assert A._scaled is None
+    for B in (A, cantor_nest(CantorParams(Fraction(1, 3))).level(4),
+              spread_set(random.Random(6), 10 ** 12, k=20)):
+        for X, Y in ((A, B), (B, A)):
+            assert_same_set(X.union(Y), reference_union(X, Y))
+            assert_same_set(X.intersect(Y), reference_intersect(X, Y))
+            assert X.subset_of(Y) is reference_subset(X, Y, False)
+            assert X.subset_of_relative_interior(Y) is \
+                reference_subset(X, Y, True)
+            assert_same_hausdorff(X, Y)
+    assert_same_set(A.complement(), reference_complement(A))
+    for delta in (Fraction(1, 1000), 1e-3):
+        assert box_count(A, delta) == reference_box_count(A, delta)
+
+
+def test_to_json_formats_each_end_by_its_type():
+    # a float set may hold exact ends; they print as p/q, as format_scalar
+    # prints them
+    A = IntervalUnion((0.0, 1.0), [(0, 0.5), (Fraction(3, 4), 1.0)])
+    assert A.to_json()["components"] == [["0/1", 0.5], ["3/4", 1.0]]
+    exact = IntervalUnion(DOMAIN, [(0, Fraction(1, 2))])
+    assert exact.to_json() == {"domain": ["0/1", "1/1"],
+                               "components": [["0/1", "1/2"]]}

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -267,3 +268,23 @@ def test_anydh_generic_theta_passes_check():
 def test_anydh_rejects_bad_theta():
     with pytest.raises(ParameterError):
         anydh_family(Fraction(3, 2))
+
+
+def reference_grid(domain, points, q_max):
+    """The grid from a sorted set of Fractions, mapped onto the domain."""
+    lo, hi = domain
+    ts = {Fraction(k, points) for k in range(points + 1)}
+    ts |= {Fraction(p, q) for q in range(1, q_max + 1)
+           for p in range(q + 1) if gcd(p, q) == 1}
+    return [lo + (hi - lo) * t for t in sorted(ts)]
+
+
+@pytest.mark.parametrize("domain", [
+    (0, 1), (0.0, 1.0), (0, 1.0), (-2, 5), (Fraction(1, 3), 2),
+    (0.1, 0.7), (Fraction(1, 7), 0.9), (-1e10, 3.0)])
+@pytest.mark.parametrize("points, q_max", [(1000, 20), (10, 1), (7, 5),
+                                           (3, 13), (1, 0)])
+def test_default_grid_matches_sorted_fractions(domain, points, q_max):
+    got = default_grid(domain, points=points, q_max=q_max)
+    want = reference_grid(domain, points, q_max)
+    assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want]
