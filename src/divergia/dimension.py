@@ -53,24 +53,17 @@ def box_count(A: IntervalUnion, delta) -> int:
     on its right, which is the deterministic tie-break that makes counts
     portable; the grid never extends past the domain.
 
-    The box index of an end a is (a - lo) // delta.  On an exact set it is
-    read from the scaled view: floor((A - LO) / (S delta)) on integers for
-    an exact delta, and for a float delta the cached float offset
-    (A - LO) / S, which is float(a - lo), floor-divided by delta.
-    The indices of the ends in order never decrease, so each component
-    shares at most the box it starts in with the one before.
+    The box index (a - lo) // delta of each end a comes from
+    ``IntervalUnion._box_indices``, on integers for an exact set and an
+    exact delta.  The indices of the ends in order never decrease, so each
+    component shares at most the box it starts in with the one before.
     """
     if not delta > 0:
         raise ParameterError(f"delta must be positive, got {delta}")
     lo, hi = A.domain
     n_boxes = -((hi - lo) // -delta)  # ceil division
     last = int(n_boxes) - 1
-    if A.exact and A._scaled and not isinstance(delta, float):
-        S, LO, _, pairs = A._scaled
-        num, den = delta.numerator * S, delta.denominator
-        ks = [(x - LO) * den // num for pair in pairs for x in pair]
-    else:
-        ks = [int(x // delta) for x in A._offsets]
+    ks = A._box_indices(delta)
     # the grid stops at the domain's end
     past = bisect.bisect_right(ks, last)
     ks[past:] = [last] * (len(ks) - past)

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 from .errors import ConstructionError, ParameterError, require_same_domain
 from .intervals import IntervalUnion
 from .scalars import (EXACT_TYPES, SCALAR_TYPES, TOL, format_scalar,
-                      is_exact, parse_scalar)
+                      is_exact, meet, parse_scalar)
 
 
 @dataclass(frozen=True)
@@ -255,14 +255,15 @@ def _component_knots(A, B, inners, lo, hi):
 def bump_from_sets(outer: IntervalUnion, inner: IntervalUnion) -> PiecewiseLinear:
     """Canonical continuous [0,1]-valued function equal to 1 on ``inner``
     and 0 off ``outer``; requires inner inside the relative interior of
-    outer."""
-    if not inner.subset_of_relative_interior(outer):
-        raise ConstructionError(
-            "inner set is not inside the relative interior of the outer set")
+    outer; mixed-backend sets meet as floats."""
+    outer, inner = meet(outer, inner)
     lo, hi = outer.domain
-    # each inner component goes under the outer one it starts in, in order
+    # each inner component goes under the outer one that holds it, in order
     inner_by_outer = {}
-    for j, comp in inner._owners(outer):
+    for j, comp in zip(inner._housed(outer, True), inner.components):
+        if j < 0:
+            raise ConstructionError("inner set is not inside the relative "
+                                    "interior of the outer set")
         inner_by_outer.setdefault(j, []).append(comp)
 
     pts = []

@@ -12,7 +12,10 @@ denominator S and every endpoint as an integer numerator over S, so that
 the walk compares integers; on the float backend S = 1 and the values
 themselves.  Results keep the input endpoint objects and the domain ends,
 so they have the values and types that sorting and merging the objects
-gives, and they are built without a re-sort or re-check.
+gives, and they are built without a re-sort or re-check.  One walk,
+``_housed``, answers the nesting question (which component of the other
+set holds each component): both subset tests and the grouping of
+``bump_from_sets`` read it.
 """
 
 from __future__ import annotations
@@ -163,6 +166,17 @@ class IntervalUnion:
         lo = self.domain[0]
         return [x - lo for comp in self.components for x in comp]
 
+    def _box_indices(self, delta):
+        """The index (a - lo) // delta of the grid box that holds each
+        component end a, in order: floor((A - LO) / (S delta)) on the
+        integers of a scaled exact view for an exact delta, and otherwise
+        the offset from ``_offsets`` floor-divided by delta."""
+        if self.exact and self._scaled and not isinstance(delta, float):
+            S, LO, _, pairs = self._scaled
+            num, den = delta.numerator * S, delta.denominator
+            return [(x - LO) * den // num for pair in pairs for x in pair]
+        return [int(x // delta) for x in self._offsets]
+
     @cached_property
     def _starts(self):
         """Left endpoints of the components, built at the first point
@@ -252,42 +266,38 @@ class IntervalUnion:
         ends, comps = _coalesce(pieces, 0 if exact else TOL)
         return _walked(self, comps, exact, (S, LO, HI, ends))
 
-    def _owners(self, other: "IntervalUnion"):
-        """Each component of self with the index of the last component of
-        other that starts at or before it (-1 for none): ``_owners`` over
-        the views of two sets of one backend, else over the objects."""
-        P, Q = _common(self, other)[3:] if self.exact == other.exact \
-            else (self.components, other.components)
-        return ((j, comp) for (j, _), comp in
-                zip(_owners(P, Q), self.components))
-
-    def subset_of(self, other: "IntervalUnion") -> bool:
+    def _housed(self, other: "IntervalUnion", interior: bool):
+        """The index of the component of other that holds each component
+        of self, in order, or -1 where none does: one walk pairs each
+        component with the last component of other that starts at or
+        before it, which holds it if it contains it, and with ``interior``
+        strictly inside except at sides where it reaches a domain end (TOL
+        on floats).  Mixed-backend operands meet as floats."""
         require_same_domain(self, other)
         a, b = meet(self, other)
-        P, Q = _common(a, b)[3:]
+        _, lo, hi, P, Q = _common(a, b)
         tol = 0 if a.exact else TOL
-        return all(j >= 0 and y <= Q[j][1] + tol
-                   for j, (_, y) in _owners(P, Q))
+        j, last = -1, len(Q) - 1
+        for x, y in P:
+            while j < last and Q[j + 1][0] <= x:
+                j += 1
+            if j >= 0:
+                c, d = Q[j]
+                if y <= d + tol and (not interior or (
+                        (c < x - tol or c <= lo + tol)
+                        and (y < d - tol or d >= hi - tol))):
+                    yield j
+                    continue
+            yield -1
+
+    def subset_of(self, other: "IntervalUnion") -> bool:
+        return all(j >= 0 for j in self._housed(other, False))
 
     def subset_of_relative_interior(self, other: "IntervalUnion") -> bool:
         """True iff every component of self sits strictly inside a component
         of other, except at sides where other reaches a domain endpoint
         (interior is taken relative to the domain)."""
-        require_same_domain(self, other)
-        a, b = meet(self, other)
-        _, lo, hi, P, Q = _common(a, b)
-        tol = 0 if a.exact else TOL
-        for j, (x, y) in _owners(P, Q):
-            if j < 0:
-                return False
-            c, d = Q[j]
-            if y > d + tol:
-                return False
-            left_ok = (c < x - tol) or (c <= lo + tol)
-            right_ok = (y < d - tol) or (d >= hi - tol)
-            if not (left_ok and right_ok):
-                return False
-        return True
+        return all(j >= 0 for j in self._housed(other, True))
 
     def as_float(self) -> "IntervalUnion":
         """This set on the float backend, each endpoint converted once; a
@@ -319,11 +329,11 @@ def hausdorff_distance(A: IntervalUnion, B: IntervalUnion):
     """Hausdorff distance between two nonempty closed interval unions.
 
     The directed distance sup_{x in A} d(x, B) is attained either at a
-    component endpoint of A or at a gap midpoint of B lying inside A.  On
-    the exact backend ``_directed`` walks the numerators doubled, so that
-    the midpoints stay integers, and the distance of the first point that
-    attains the maximum is then taken on the objects, as a search over
-    the candidate points in order gives it.
+    component endpoint of A or at a gap midpoint of B lying inside A.
+    ``_directed`` finds the first candidate point that attains it, on the
+    exact backend over the numerators doubled, so that the midpoints stay
+    integers, and its distance is then taken on the objects, as a search
+    over the candidate points in order gives it.
     """
     require_same_domain(A, B)
     if A.is_empty() and B.is_empty():
@@ -332,10 +342,9 @@ def hausdorff_distance(A: IntervalUnion, B: IntervalUnion):
         raise ParameterError("Hausdorff distance needs both sets nonempty")
     A, B = meet(A, B)
     S, _, _, P, Q = _common(A, B)
-    if not A.exact or S is None:
-        return max(_directed(A.components, B.components, _half)[0],
-                   _directed(B.components, A.components, _half)[0])
-    P, Q = _times(P, 2), _times(Q, 2)
+    mid = _half
+    if A.exact and S:
+        P, Q, mid = _times(P, 2), _times(Q, 2), _exact_half
 
     def directed(src, dst, k):
         # the distance of candidate k of _directed, on the objects
@@ -346,8 +355,8 @@ def hausdorff_distance(A: IntervalUnion, B: IntervalUnion):
             x = _half(dst.components[k - n][1], dst.components[k - n + 1][0])
         return dst.distance_to_point(x)
 
-    return max(directed(A, B, _directed(P, Q, _exact_half)[1]),
-               directed(B, A, _directed(Q, P, _exact_half)[1]))
+    return max(directed(A, B, _directed(P, Q, mid)),
+               directed(B, A, _directed(Q, P, mid)))
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +372,8 @@ def _number(x):
 
 
 def _half(b, a):
-    return (b + a) / 2
+    s = b + a  # an int of two int ends, halved as a Fraction
+    return Fraction(s, 2) if type(s) is int else s / 2
 
 
 def _exact_half(b, a):
@@ -414,24 +424,13 @@ def _coalesce(stream, tol):
     return ends, comps
 
 
-def _owners(inner, outer):
-    """Each pair of ``inner`` with the index of the last pair of ``outer``
-    that starts at or before it (-1 for none), in one walk over both
-    sorted lists."""
-    j, last = -1, len(outer) - 1
-    for pair in inner:
-        while j < last and outer[j + 1][0] <= pair[0]:
-            j += 1
-        yield j, pair
-
-
 def _directed(src, dst, mid):
-    """The largest distance from a candidate point to ``dst``, and the
-    index of the first candidate that attains it, over sorted disjoint
-    pairs.  The candidates are the ends of ``src`` in order (index 2i and
-    2i + 1 for pair i), then the midpoints ``mid(b, a)`` of the gaps
-    (b, a) of ``dst`` that lie in ``src`` (index 2 len(src) + g for gap
-    g).  Each distance is the one ``distance_to_point`` gives."""
+    """The index of the first candidate point whose distance to ``dst``
+    is the largest, over sorted disjoint pairs.  The candidates are the
+    ends of ``src`` in order (index 2i and 2i + 1 for pair i), then the
+    midpoints ``mid(b, a)`` of the gaps (b, a) of ``dst`` that lie in
+    ``src`` (index 2 len(src) + g for gap g).  Each distance is the one
+    ``distance_to_point`` gives."""
     n = len(dst)
 
     def distances(points):
@@ -462,5 +461,5 @@ def _directed(src, dst, mid):
     for k, d in candidates:
         if best is None or d > best:
             best, k_best = d, k
-    return best, k_best
+    return k_best
 

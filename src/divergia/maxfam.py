@@ -211,16 +211,10 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
         if not lo <= x < y <= hi:
             raise ParameterError(f"subinterval [{x}, {y}] not in [{lo}, {hi}]")
 
-    tail_cache = {}
-
-    def tail(n):
-        # upper bound on everything levels n+1..n_max can still add
-        if fam.step_bound is None:
-            return None
-        if n not in tail_cache:
-            tail_cache[n] = sum(fam.step_bound(k)
-                                for k in range(n + 1, n_max + 1))
-        return tail_cache[n]
+    # the step bounds of levels min_index+1..n_max: the sum of those past
+    # n bounds everything they can still add
+    bounds = None if fam.step_bound is None else [
+        fam.step_bound(k) for k in range(fam.min_index + 1, n_max + 1)]
 
     rows = []
     deepest = fam.min_index
@@ -236,8 +230,8 @@ def max_family_check(fam: FunctionFamily, M=10, n_max=30,
             if running > M:
                 reached_at = n
                 break
-            t = tail(n)
-            if t is not None and float(running) + t <= float(M):
+            if bounds is not None and float(running) + sum(
+                    bounds[n - fam.min_index:]) <= float(M):
                 certified = True
                 break
         rows.append(SubintervalRow(x=x, y=y, reached_at=reached_at,

@@ -516,16 +516,17 @@ def test_step_bound_dominates_increment_integral(nest_family):
 
 def test_nesting_violation_reported(monkeypatch):
     calls = []
-    check = IntervalUnion.subset_of_relative_interior
+    walk = IntervalUnion._housed
 
-    def counted(self, other):
+    def counted(self, other, interior):
         calls.append(other)
-        return check(self, other)
+        return walk(self, other, interior)
 
-    monkeypatch.setattr(IntervalUnion, "subset_of_relative_interior", counted)
+    monkeypatch.setattr(IntervalUnion, "_housed", counted)
     fam = tietze_family(cantor_nest(CantorParams(0.3)))
     fam.rule(3)
-    assert len(calls) == 4  # one nesting check per bump
+    # one walk per bump both checks the nesting and groups the components
+    assert len(calls) == 4
     # at theta = 0.3 level 13 no longer fits inside level 12 at float
     # resolution, and the nesting check reports the level
     with pytest.raises(ConstructionError, match="level 12"):

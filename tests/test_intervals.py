@@ -6,8 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divergia import (CantorParams, IntervalUnion, ParameterError, box_count,
-                      cantor_nest, hausdorff_distance, uniform_cantor)
+from divergia import (CantorParams, ConstructionError, IntervalUnion,
+                      ParameterError, PiecewiseLinear, box_count,
+                      bump_from_sets, cantor_nest, hausdorff_distance,
+                      uniform_cantor)
+from divergia.funcs import _component_knots
 from divergia.scalars import TOL, meet
 
 DOMAIN = (0, 1)
@@ -209,7 +212,9 @@ def reference_hausdorff(A, B):
     def directed(src, dst):
         candidates = [p for comp in src.components for p in comp]
         for i in range(len(dst.components) - 1):
-            gap_mid = (dst.components[i][1] + dst.components[i + 1][0]) / 2
+            s = dst.components[i][1] + dst.components[i + 1][0]
+            # two int ends give an exact half
+            gap_mid = Fraction(s, 2) if type(s) is int else s / 2
             if contains(src, gap_mid):
                 candidates.append(gap_mid)
         return max(distance(dst, x) for x in candidates)
@@ -493,6 +498,61 @@ def test_walks_match_references(pair):
         assert test(B) is reference_subset(A, B, interior)
 
 
+def reference_bump(outer, inner):
+    """The bump of ``inner`` in ``outer`` after meet, each inner component
+    grouped under the outer one found by a bisect over outer's starts."""
+    outer, inner = meet(outer, inner)
+    lo, hi = outer.domain
+    starts = [c for c, _ in outer.components]
+    groups = {}
+    for comp in inner.components:
+        j = bisect.bisect_right(starts, comp[0]) - 1
+        groups.setdefault(j, []).append(comp)
+    pts = [knot for j, inners in groups.items()
+           for knot in _component_knots(*outer.components[j], inners, lo, hi)]
+    if not pts or pts[0][0] > lo:
+        pts.insert(0, (lo, 0))
+    if pts[-1][0] < hi:
+        pts.append((hi, 0))
+    return PiecewiseLinear.from_knots(pts)
+
+
+def typed_knots(f):
+    return [(v, type(v)) for v in f.xs + f.ys]
+
+
+def outcome(build, *args):
+    """The knots ``build`` gives with their types, or its error message."""
+    try:
+        return typed_knots(build(*args))
+    except ConstructionError as err:
+        return str(err)
+
+
+@settings(max_examples=300)
+@given(PAIRS)
+def test_bump_walk_matches_reference(pair):
+    # the nesting error comes exactly where the reference nesting test
+    # fails; otherwise both groupings give the same knots, or the same
+    # knot conflict (a float outer end within TOL of a domain end)
+    outer, inner = pair
+    if not reference_subset(inner, outer, True):
+        with pytest.raises(ConstructionError, match="relative interior"):
+            bump_from_sets(outer, inner)
+    else:
+        assert outcome(bump_from_sets, outer, inner) == \
+            outcome(reference_bump, outer, inner)
+
+
+def test_mixed_backend_bump_meets_as_floats():
+    outer = IntervalUnion(DOMAIN, [(Fraction(1, 10), Fraction(9, 10))])
+    inner = IntervalUnion((0.0, 1.0), [(0.2, 0.8)])
+    b = bump_from_sets(outer, inner)
+    assert b.xs == (0.0, 0.1, 0.2, 0.8, 0.9, 1.0)
+    assert all(type(x) is float for x in b.xs)
+    assert typed_knots(b) == typed_knots(reference_bump(outer, inner))
+
+
 @settings(max_examples=200)
 @given(st.one_of(EXACT_SET, FLOAT_SET), DELTAS)
 def test_box_count_matches_reference(A, delta):
@@ -533,12 +593,17 @@ def test_exact_result_of_a_float_set_is_exact():
     assert B.intersect(C).exact
 
 
-def test_int_gap_midpoint_keeps_its_float():
-    # (0 + 1) / 2 is the float 0.5 on the objects, as before the walk
+def test_int_gap_midpoint_is_exact():
+    # the midpoint of a gap between two int ends is a Fraction, so that an
+    # exact set has an exact distance
     A = IntervalUnion(DOMAIN, [(0, 0), (1, 1)])
     B = IntervalUnion.full(DOMAIN)
     assert_same_hausdorff(A, B)
-    assert type(hausdorff_distance(A, B)) is float
+    got = hausdorff_distance(A, B)
+    assert type(got) is Fraction and got == Fraction(1, 2)
+    C = IntervalUnion((0, 10), [(0, 2), (5, 10)])
+    got = hausdorff_distance(C, IntervalUnion.full((0, 10)))
+    assert type(got) is Fraction and got == Fraction(3, 2)
 
 
 def test_int_domain_ends_survive():

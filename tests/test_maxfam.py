@@ -183,6 +183,17 @@ def test_tietze_alone_certified_not_reached(tz):
     assert row.integrals[-1][0] < 10
 
 
+def test_certified_at_the_first_n_whose_tail_fits():
+    # zero increments with step bounds 1: levels n+1..10 can still add at
+    # most 10 - n, which first fits under M = 3 at n = 7
+    zero = PiecewiseLinear.constant(DOMAIN, 0)
+    fam = FunctionFamily(DOMAIN, increment=lambda n: zero,
+                         step_bound=lambda k: 1.0)
+    rep = max_family_check(fam, M=3, n_max=10)
+    assert all(r.certified_not_reached and r.integrals[-1][0] == 7
+               for r in rep.rows)
+
+
 def test_liouville_reaches_everywhere(lv):
     rep = max_family_check(lv, M=10, n_max=30)
     assert rep.all_reached and rep.monotone.ok
