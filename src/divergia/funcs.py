@@ -214,7 +214,9 @@ def _component_knots(A, B, inners, lo, hi):
 
     Yields the knots in strictly increasing order, lazily, so that a
     pointwise caller computes only those left of its point; a repeated
-    abscissa with a different value raises ConstructionError.
+    abscissa with a different value raises ConstructionError.  A float
+    outer end within TOL of a domain end reaches it, as the nesting test
+    of ``IntervalUnion._housed`` counts it.
     """
     def dip(a, b, ref):
         # midpoint of [a, b] at 1/2, in the backend of the inner endpoint ref
@@ -222,7 +224,8 @@ def _component_knots(A, B, inners, lo, hi):
 
     def raw():
         p1, qk = inners[0][0], inners[-1][1]
-        if A > lo:
+        tol = 0 if is_exact(A) else TOL
+        if A > lo + tol:
             yield A, 0
         else:
             yield lo, 1
@@ -234,12 +237,12 @@ def _component_knots(A, B, inners, lo, hi):
             yield dip(q, a, q)
             yield a, 1
         yield qk, 1
-        if B > qk:
-            if B >= hi:
+        if B < hi - tol:
+            yield B, 0
+        else:
+            if B > qk:
                 yield dip(qk, B, qk)
-                yield hi, 1
-            else:
-                yield B, 0
+            yield hi, 1
 
     last = None
     for knot in raw():
@@ -419,16 +422,21 @@ def tietze_family(nest) -> FunctionFamily:
 
     def value(n, x):
         # bump i is 1 while x lies in a child of its level-i component;
-        # at the level k where x leaves the nest all deeper bumps vanish
-        k, (A, B), children = nest.deepest_component(n, x)
-        if any(a <= x <= b for a, b in children):
-            return k + 1
+        # at the level k where x leaves the nest all deeper bumps vanish.
+        # The descent decides that on integers, one level past n
+        k, (A, B), children = nest.deepest_component(n + 1, x)
+        if k > n:
+            return n + 1
         knots = _component_knots(A, B, children, lo, hi)
-        x0, y0 = next(knots)
-        for x1, y1 in knots:
-            if x <= x1:
-                break
-            x0, y0 = x1, y1
+        try:
+            x0, y0 = next(knots)
+            for x1, y1 in knots:
+                if x <= x1:
+                    break
+                x0, y0 = x1, y1
+        except ConstructionError as err:
+            # rounded children that floats cannot keep apart
+            raise nest._unresolved(k + 1) from err
         # interpolated even at a knot, so that the value takes the
         # backend of x (a knot value 1 at a domain endpoint is int)
         return k + _interpolate(x, x0, x1, y0, y1)

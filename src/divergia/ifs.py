@@ -4,8 +4,12 @@ The nest is driven by the pair L(x) = m*(x + eps), R(x) = 1 - L(x) with
 m = (1/2)^(1/theta); their images of [0, 1] are disjoint exactly when
 2m(1+eps) < 1, and the invariant set has Hausdorff dimension theta.
 
-When theta = 1/k for an integer k >= 2 the ratio m = 2^(-k) is rational
-and the whole construction runs on the exact rational backend.
+Every nest runs on integers: m is a dyadic rational M/2^b (m = 2^-k when
+theta = 1/k for an integer k >= 2, and otherwise the float
+0.5 ** (1/theta), which is exactly such a rational), and so is a float
+eps.  When theta = 1/k the results are exact rationals on the exact
+backend; otherwise each endpoint is the float nearest to its exact value,
+and a level that floats cannot resolve raises ParameterError.
 """
 
 from __future__ import annotations
@@ -14,10 +18,11 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 
 from .errors import ParameterError
 from .intervals import IntervalUnion
-from .scalars import as_integer, is_exact
+from .scalars import TOL, as_integer, is_exact
 
 
 def _ratio_for(theta):
@@ -73,82 +78,103 @@ class CantorNest:
 
     L[0, 1] and R[0, 1] mirror each other, so a component's two children
     sit at the same offsets inside it whatever its orientation, and a
-    component is just its left end at the level's common width w.
-    ``_children`` is the one child rule, and the nest keeps the left ends
-    and the width of its deepest level.  On an exact nest (theta = 1/k, so
-    m = 2^-k, and eps = e/d) the children of [A, A + w] over S start at
-    (A << k) + e w/d and (A << k) + f w/d over S 2^k, with the same w and
-    f = d (2^k - 1) - e; levels count in units of 1/S_j, S_j = d 2^(kj),
-    so w = d.  On a float nest the children of [u, u + w] start at
-    u + w m eps and u + w (1 - m - m eps), with width w m.
+    component is just its left end at the level's common width.
+    ``_children`` is the one child rule, on integers for every nest: with
+    m = M/2^b and eps = e/d, the children of [A, A + W] over S start at
+    (A << b) + (W/d) M e and (A << b) + (W << b) - W M - (W/d) M e over
+    S 2^b, with width W M.  Levels count in units of 1/S_j, S_j = d 2^(bj),
+    so the level-j width is W = d M^j, and the nest keeps the left ends
+    and the width of its deepest level.  ``_ends`` is the one conversion
+    of left ends at a common width: exact rationals when theta = 1/k, and
+    otherwise each endpoint rounded once to the nearest float.  ``_image``
+    turns them into a set, raising ParameterError at the first level whose
+    float image would merge two components.
 
     Local queries (the deepest component of a level up to n containing a
     point, with its two children) descend the address of the point
-    through at most n levels and never build level n.  A float nest steps
-    through the child rule, so it meets the components of the levels.  An
-    exact nest runs the rule backwards on integers: with x = X/D over
-    D = den(x) d, E = den(x) e and F = den(x) f, the position X/D of x in
-    its component becomes (X << k) - E in the left child or (X << k) - F
-    in the right one, whichever lies in [0, D]; if neither does, x leaves
-    the nest there, and only that component and its children are built.
+    through at most n levels and never build level n: they run the rule
+    backwards on integers.  With x = p/q, the position of x in its level-j
+    component is X over D = q W, and it becomes (X << b) - E in the left
+    child or (X << b) - F in the right one, over D M, whichever lies in
+    [0, D M], where E and F are the child offsets at this denominator; if
+    neither does, x leaves the nest there, and only that component and
+    its children are converted.  Membership is decided on these integers,
+    never on rounded endpoints.
     """
 
     def __init__(self, params: CantorParams):
         self.params = params
-        m, (lo, _) = params.m, params.domain
+        M, B = params.m.as_integer_ratio()
+        self._M, self._b = M, B.bit_length() - 1
+        self._e, self._d = params.eps.as_integer_ratio()
         self._levels = [IntervalUnion.full(params.domain)]
         self._lock = threading.Lock()
-        if params.exact:
-            self._shift = k = m.denominator.bit_length() - 1
-            e, d = params.eps.numerator, params.eps.denominator
-            self._offsets, self._width = (e, d * ((1 << k) - 1) - e), d
-        else:
-            me = m * params.eps
-            self._offsets, self._width = (me, 1 - m - me), 1.0
-        self._starts = [lo]
+        self._starts, self._width = [0], self._d
 
     def level(self, n: int) -> IntervalUnion:
         if n < 0:
             raise ParameterError("level index must be >= 0")
-        domain = self.params.domain
         with self._lock:
             while len(self._levels) <= n:
-                starts, w = self._starts, self._width = self._children(
-                    self._starts, self._width)
-                pairs = [(u, u + w) for u in starts]
-                if self.params.exact:  # over S_j = d 2^(kj), and w = d
-                    level = IntervalUnion._canonical(
-                        domain, pairs, w << (self._shift * len(self._levels)))
-                else:
-                    level = IntervalUnion(domain, pairs)
-                self._levels.append(level)
+                # the deepest level's ends are kept only once its image
+                # is built, so a level that raises raises again
+                j = len(self._levels)
+                starts, W = self._children(self._starts, self._width)
+                self._levels.append(self._image(
+                    j, starts, W, self._d << (self._b * j)))
+                self._starts, self._width = starts, W
             return self._levels[n]
 
-    def _children(self, starts, w):
-        """Left ends and width of the children of the components [A, A + w]
+    def _children(self, starts, W):
+        """Left ends and width of the children of the components [A, A + W]
         that start at ``starts``, in order: the one child rule."""
-        a, b = self._offsets
+        M, b = self._M, self._b
+        a = W // self._d * M * self._e
+        c = (W << b) - W * M - a
         out = []
         extend = out.extend
+        for A in starts:
+            A <<= b
+            extend((A + a, A + c))
+        return out, W * M
+
+    def _ends(self, starts, W, S):
+        """The components [A/S, (A + W)/S] of the integer left ends A, each
+        end converted once: a Fraction on an exact nest, else the nearest
+        float by int true division (correct at any size, where ``float(A)``
+        overflows past 1024 bits)."""
+        to = Fraction if self.params.exact else truediv
+        return [(to(A, S), to(A + W, S)) for A in starts]
+
+    def _image(self, n, starts, W, S):
+        """The level-n set of the components [A/S, (A + W)/S] of the sorted
+        integer left ends A, raising ParameterError on a float nest where
+        a start falls within TOL of the end before it, which the float
+        backend would merge."""
+        domain = self.params.domain
         if self.params.exact:
-            # units of 1/S become units of 1/(S 2^k); offsets scale as w/d
-            scale, k = w // self.params.eps.denominator, self._shift
-            a, b = a * scale, b * scale
-            for A in starts:
-                A <<= k
-                extend((A + a, A + b))
-        else:
-            a, b, w = w * a, w * b, w * self.params.m
-            for u in starts:
-                extend((u + a, u + b))
-        return out, w
+            return IntervalUnion._canonical(
+                domain, [(A, A + W) for A in starts], S)
+        comps, end = self._ends(starts, W, S), -1.0
+        for a, b in comps:
+            if a <= end + TOL:
+                raise self._unresolved(n)
+            end = b
+        return IntervalUnion._built(domain, comps, False)
+
+    def _unresolved(self, n):
+        """The error of a level that floats cannot resolve."""
+        return ParameterError(f"theta={self.params.theta}: level {n} of the "
+                              f"nest is below float resolution")
 
     def measure_level(self, n: int):
         """Exact level measure: (2m)^n."""
         return (2 * self.params.m) ** n
 
     def fixed_point_left(self):
-        """Fixed point of the left map, m*eps/(1-m); lies in every level."""
+        """Fixed point of the left map, m*eps/(1-m); lies in every level.
+        On a float nest it is rounded, and the rounded point leaves the
+        nest at a deep level (level 16 at theta = 0.3)."""
         m = self.params.m
         return m * self.params.eps / (1 - m)
 
@@ -161,49 +187,35 @@ class CantorNest:
         lo, hi = self.params.domain
         if not lo <= x <= hi:
             raise ParameterError(f"{x} outside domain")
-        if not self.params.exact:
-            return self._walk(n, x)
         x = Fraction(x)
-        e, f = self._offsets
-        d = self.params.eps.denominator
-        D, E, G = x.denominator * d, x.denominator * e, x.denominator * (f - e)
+        M, b, d = self._M, self._b, self._d
         X = X0 = x.numerator * d
-        k = self._shift
+        D = D0 = x.denominator * d
+        E = x.denominator * M * self._e
+        G = (D << b) - D * M - 2 * E
         for j in range(n):
-            # (X << k) - E in the left child, else (X << k) - F in the
-            # right one, with G = F - E; the children are disjoint
-            Y = (X << k) - E
-            if Y > D:
+            # (X << b) - E in the left child, else (X << b) - F in the
+            # right one, with G = F - E; the children, of width D M, are
+            # disjoint, and every quantity scales by M per level
+            Y, W = (X << b) - E, D * M
+            if Y > W:
                 Y -= G
-            if not 0 <= Y <= D:
-                return self._rebuild(j, X0, X, D)
-            X = Y
-        return self._rebuild(n, X0, X, D)
+            if not 0 <= Y <= W:
+                break
+            X, D, E, G = Y, W, E * M, G * M
+        else:
+            j = n
+        # the level-j component starts at (X0 << bj) - X over D0 2^(bj)
+        return self._rebuild(j, (X0 << (b * j)) - X, D, D0 << (b * j))
 
-    def _rebuild(self, j, X0, X, D):
-        """(j, component, children) from the descent's state at level j:
-        x = X0/D sits at X/D in its level-j component, whose left end is
-        B = (X0 << kj) - X over D 2^(kj) and whose width is D there."""
-        k = self._shift
-        B = (X0 << (k * j)) - X
-        starts, _ = self._children([B], D)
-        S = D << (k * (j + 1))
-        children = [(Fraction(c, S), Fraction(c + D, S)) for c in starts]
+    def _rebuild(self, j, B, W, S):
+        """(j, component, children) of the level-j component [B, B + W]
+        over S, each endpoint converted once."""
+        starts, w = self._children([B], W)
+        children = self._ends(starts, w, S << self._b)
         if j == 0:
             return 0, self.params.domain, children
-        B <<= k
-        return j, (Fraction(B, S), Fraction(B + (D << k), S)), children
-
-    def _walk(self, n, x):
-        # the float descent of deepest_component, through the child rule
-        # from the level-0 component (0.0, 1.0)
-        interval, w = self.params.domain, 1.0
-        for j in range(n + 1):
-            (a, b), w = self._children([interval[0]], w)
-            children = [(a, a + w), (b, b + w)]
-            if j == n or not (a <= x <= a + w or b <= x <= b + w):
-                return j, interval, children
-            interval = children[x > a + w]
+        return j, self._ends([B], W, S)[0], children
 
     def contains(self, n: int, x) -> bool:
         return self.deepest_component(n, x)[0] == n
@@ -225,16 +237,12 @@ def uniform_cantor(p: CantorParams, n: int) -> IntervalUnion:
     if n < 0:
         raise ParameterError("level index must be >= 0")
     nest = CantorNest(p)
-    starts, w = nest._starts, nest._width
+    starts, W = nest._starts, nest._width
     for _ in range(n):
-        starts, w = nest._children(starts, w)
-    if p.exact:
-        # a = e/(d g) with g = 2^k - 1, so [A, A + d] over S_n (w = d)
-        # shrinks to [A g + e, (A + d) g - e] over S_n g
-        e, g = p.eps.numerator, (1 << nest._shift) - 1
-        return IntervalUnion._canonical(
-            p.domain, [(A * g + e, (A + w) * g - e) for A in starts],
-            (w << (nest._shift * n)) * g)
-    a = nest.fixed_point_left()
-    lo, hi = w * a, w * (1 - a)
-    return IntervalUnion(p.domain, [(u + lo, u + hi) for u in starts])
+        starts, W = nest._children(starts, W)
+    # a = M e/(d g) with g = 2^b - M, so [A, A + W] over S_n = d 2^(bn)
+    # shrinks by a W = (W/d) M e/g at both ends: over S_n g it is
+    # [A g + i, (A + W) g - i] with i = (W/d) M e
+    g, i = (1 << nest._b) - nest._M, W // nest._d * nest._M * nest._e
+    return nest._image(n, [A * g + i for A in starts], W * g - 2 * i,
+                       (nest._d << (nest._b * n)) * g)

@@ -12,6 +12,8 @@ Rewrite the manifest on purpose, after a change that is meant to move an
 output, with::
 
     PYTHONPATH=src python tests/cli_digests.py
+
+It takes no arguments: with any, it prints its usage line and exits 2.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import hashlib
 import io
 import json
 import platform
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -51,8 +54,11 @@ COMMANDS = [
       for k in (2, 3)),
     "iset --family cantor-tietze --theta 1/2 --M 4 --N 6 --format csv",
     "anydh --theta 1/3 --M 3 --N 6",
-    # exit 1: the float nest at theta = 0.3 fails its nesting check
+    # exit 2: level 13 of the float nest at theta = 0.3 is below float
+    # resolution; exit 1: at theta = 0.312 it resolves, but it is not
+    # inside the relative interior of level 12
     "anydh --theta 0.3 --N 14",
+    "anydh --theta 0.312 --N 14",
     "cantor --theta 1/2 --levels -1 --uniform",
     f"dim --input {SET}",
     f"dim --input {SET} --scales 1/16,1/32,1/64,1/128",
@@ -80,6 +86,8 @@ COMMANDS = [
     "cantor --theta 0.00013 --levels 1",
     f"dim --input {FLOAT_SET}",
     "cantor --theta 0.4 --backend float --levels 8 --format csv",
+    # exit 2: the same resolution error
+    "cantor --theta 0.3 --backend float --levels 13",
 ]
 
 
@@ -106,6 +114,9 @@ def digests() -> dict:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) > 1:
+        print(f"usage: PYTHONPATH=src python {sys.argv[0]}", file=sys.stderr)
+        sys.exit(2)
     manifest = {"python": platform.python_version(), "digests": digests()}
     MANIFEST.write_text(json.dumps(manifest, indent=2) + "\n")
     print(f"wrote {len(COMMANDS)} digests to {MANIFEST}")

@@ -365,11 +365,17 @@ def test_qam_mean_generators(capsys, gen, values, want):
 
 
 def test_construction_failure_exit_code(capsys):
-    code, out, err = run(capsys, "anydh", "--theta", "0.3", "--N", "14")
+    code, out, err = run(capsys, "anydh", "--theta", "0.312", "--N", "14")
     assert code == 1 and not out
     doc = json.loads(err)
     assert doc["error"] == "construction"
     assert doc["message"].startswith("level 12: ")
+    # at theta = 0.3 level 13 is below float resolution, a parameter error
+    code, out, err = run(capsys, "anydh", "--theta", "0.3", "--N", "14")
+    assert code == 2 and not out
+    doc = json.loads(err)
+    assert doc["error"] == "parameter"
+    assert doc["message"].startswith("theta=3/10: level 13 ")
 
 
 @pytest.mark.parametrize("content", [

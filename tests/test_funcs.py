@@ -281,6 +281,28 @@ def test_bump_requires_relative_interior_nesting():
         bump_from_sets(outer, inner)
 
 
+FLOATS = (0.0, 1.0)
+
+
+def test_float_outer_start_within_tol_of_lo_reaches_it():
+    # the nesting test counts the outer start 4e-13 as the domain end, and
+    # so does the ramp rule: value 1 at lo, not a knot conflict at 4e-13
+    outer = IntervalUnion(FLOATS, [(4e-13, 0.5)])
+    b = bump_from_sets(outer, IntervalUnion(FLOATS, [(4e-13, 0.25)]))
+    assert b.eval(0.0) == 1 and b.eval(4e-13) == 1 and b.eval(0.5) == 0
+    # with an edge segment, the value dips to 1/2 at its midpoint
+    b = bump_from_sets(outer, IntervalUnion(FLOATS, [(0.1, 0.25)]))
+    assert b.eval(0.0) == 1 and b.eval((4e-13 + 0.1) / 2) == 0.5
+
+
+def test_float_outer_end_within_tol_of_hi_reaches_it():
+    outer = IntervalUnion(FLOATS, [(0.5, 1 - 4e-13)])
+    b = bump_from_sets(outer, IntervalUnion(FLOATS, [(0.75, 1 - 4e-13)]))
+    assert b.eval(1.0) == 1 and b.eval(0.75) == 1 and b.eval(0.5) == 0
+    b = bump_from_sets(outer, IntervalUnion(FLOATS, [(0.75, 0.9)]))
+    assert b.eval(1.0) == 1 and b.eval((0.9 + 1 - 4e-13) / 2) == 0.5
+
+
 def test_bump_range_and_exactness():
     rng = random.Random(5)
     p = CantorParams(Fraction(1, 2))
@@ -499,6 +521,29 @@ def test_value_is_one_descent(monkeypatch):
     assert len(calls) <= 2
 
 
+@pytest.mark.parametrize("theta", [0.3, 0.35])
+def test_float_value_on_the_exact_fixed_point(theta):
+    # membership is decided on the descent's integers, so the exact fixed
+    # point of the dyadic nest stays on it at every depth
+    p = CantorParams(theta)
+    fam = tietze_family(cantor_nest(p))
+    m = Fraction(p.m)
+    x = m * Fraction(p.eps) / (1 - m)
+    for n in range(61):
+        assert fam.value(n, x) == n + 1
+
+
+def test_float_value_below_resolution_raises():
+    # the float fixed point leaves the dyadic nest at level 16, where the
+    # rounded children of its component cannot be kept apart
+    nest = cantor_nest(CantorParams(0.3))
+    fam = tietze_family(nest)
+    x = nest.fixed_point_left()
+    assert [fam.value(n, x) for n in range(16)] == list(range(1, 17))
+    with pytest.raises(ParameterError, match="theta=0.3: level 17 "):
+        fam.value(20, x)
+
+
 def test_increment_equals_rule_difference(nest_family):
     nest, fam = nest_family
     d3 = fam.increment(3)
@@ -523,12 +568,13 @@ def test_nesting_violation_reported(monkeypatch):
         return walk(self, other, interior)
 
     monkeypatch.setattr(IntervalUnion, "_housed", counted)
-    fam = tietze_family(cantor_nest(CantorParams(0.3)))
+    fam = tietze_family(cantor_nest(CantorParams(0.312)))
     fam.rule(3)
     # one walk per bump both checks the nesting and groups the components
     assert len(calls) == 4
-    # at theta = 0.3 level 13 no longer fits inside level 12 at float
-    # resolution, and the nesting check reports the level
+    # at theta = 0.312 level 13 still resolves as floats but no longer
+    # fits inside the relative interior of level 12 (within TOL), and the
+    # nesting check reports the level
     with pytest.raises(ConstructionError, match="level 12"):
         fam.increment(12)
 

@@ -3,11 +3,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from divergia import (CantorParams, ParameterError, cantor_nest,
                       hausdorff_distance, uniform_cantor)
+from divergia.scalars import TOL
 
 HALF = Fraction(1, 2)
 
@@ -350,3 +351,69 @@ def test_float_levels_match_composed_maps(theta):
         assert len(got) == len(want)
         for comp, ref in zip(got, want):
             assert comp == pytest.approx(ref, abs=1e-12)
+
+
+# ----------------------------------------------------------------------
+# float nests: the exact dyadic nest, each endpoint rounded once
+# ----------------------------------------------------------------------
+
+def dyadic_maps(p, n):
+    """The 2^n composed maps of level n of the nest whose m and eps are the
+    exact values of the float parameters, as Fraction pairs."""
+    m, eps = Fraction(p.m), Fraction(p.eps)
+    maps = [(1, 0)]
+    for _ in range(n):
+        maps = [(ratio * r, ratio * o + offset) for ratio, offset in maps
+                for r, o in ((m, m * eps), (-m, 1 - m * eps))]
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(min_value=0.3, max_value=0.9), st.integers(0, 10))
+def test_float_levels_are_dyadic_levels_rounded_once(theta, n):
+    p = CantorParams(theta)
+    assume(not p.exact)
+    maps = dyadic_maps(p, n)
+    m = Fraction(p.m)
+    a = m * Fraction(p.eps) / (1 - m)
+    for build, ends in [(cantor_nest(p).level, (0, 1)),
+                        (lambda n: uniform_cantor(p, n), (a, 1 - a))]:
+        want = tuple((float(u), float(v))
+                     for u, v in sorted_images(maps, *ends))
+        merges = any(u <= v + TOL for (_, v), (u, _) in zip(want, want[1:]))
+        if merges:
+            with pytest.raises(ParameterError, match=f"level {n} "):
+                build(n)
+        else:
+            got = build(n)
+            assert not got.exact and same(got.domain, (0.0, 1.0))
+            assert same(got.components, want)
+
+
+@pytest.mark.parametrize("theta, n", [(0.3, 13), (0.35, 15), (0.4, 17),
+                                      (0.45, 19)])
+def test_float_levels_raise_at_the_first_merge(theta, n):
+    # the widths fall below TOL earlier (level 16 at theta = 0.4), but a
+    # level raises only where its float image would merge two components
+    p = CantorParams(theta)
+    nest = cantor_nest(p)
+    level = nest.level(n - 1)
+    assert len(level.components) == 2 ** (n - 1)
+    # the leftmost component is L^(n-1)[0, 1]; at theta = 0.45 its ends
+    # have numerators past 1024 bits, where float() of them overflows
+    m, eps = Fraction(p.m), Fraction(p.eps)
+    left = m * eps * (1 - m ** (n - 1)) / (1 - m)
+    assert level.components[0] == (float(left), float(left + m ** (n - 1)))
+    with pytest.raises(ParameterError, match=f"theta={theta}: level {n} "):
+        nest.level(n)
+
+
+def test_unresolved_level_raises_again():
+    # a level that raised leaves the nest at the level before it, so
+    # asking again, or for a deeper level, raises the same error
+    nest = cantor_nest(CantorParams(0.3))
+    before = nest.level(12)
+    for n in (13, 13, 14):
+        with pytest.raises(ParameterError, match="theta=0.3: level 13 "):
+            nest.level(n)
+    assert nest.level(12) is before and len(before.components) == 4096
