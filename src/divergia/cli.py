@@ -54,17 +54,17 @@ def _backend(args) -> str:
 
 
 def _emit(args, document, csv_rows=None, csv_header=None):
-    """Write the JSON document, or under ``--format csv`` the table that
-    the callable ``csv_rows`` returns, so that only the format written is
-    built."""
+    """Write the JSON document, or under ``--format csv`` its table: the
+    rows that ``csv_rows`` reads from the document, under ``csv_header``.
+    The table is read only when it is written, and a command without
+    ``csv_rows`` writes JSON in either format."""
     fmt = getattr(args, "format", "json")
     out = getattr(args, "output", None)
     if fmt == "csv" and csv_rows is not None:
         buf = io.StringIO()
         writer = csv.writer(buf)
-        if csv_header:
-            writer.writerow(csv_header)
-        writer.writerows(csv_rows())
+        writer.writerow(csv_header)
+        writer.writerows(csv_rows(document))
         text = buf.getvalue()
     else:
         text = json.dumps(document, indent=2) + "\n"
@@ -73,14 +73,6 @@ def _emit(args, document, csv_rows=None, csv_header=None):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _set_rows(sets):
-    rows = []
-    for name, iu in sets:
-        for a, b in iu.components:
-            rows.append([name, format_scalar(a), format_scalar(b)])
-    return rows
 
 
 # ----------------------------------------------------------------------
@@ -107,8 +99,9 @@ def cmd_cantor(args):
         "uniform": bool(args.uniform), "backend": backend,
         "levels": {name: iu.to_json() for name, iu in levels},
     }
-    _emit(args, doc, csv_rows=lambda: _set_rows(levels),
-          csv_header=["level", "a", "b"])
+    _emit(args, doc, csv_rows=lambda doc: (
+        [name, a, b] for name, level in doc["levels"].items()
+        for a, b in level["components"]), csv_header=["level", "a", "b"])
 
 
 #: family builders by tag, called with (theta, q_max); all but liouville
@@ -125,9 +118,11 @@ _FAMILIES = {
 }
 
 
-def _family_from_tag(tag: str, args, backend: str):
-    text = getattr(args, "theta", None)
-    theta = None if text is None else _parse_number(text, backend)
+def _family(args):
+    """The family that ``args.family`` names, with ``--theta`` parsed on
+    the command's backend; every family command builds its family here."""
+    tag, text = args.family, getattr(args, "theta", None)
+    theta = None if text is None else _parse_number(text, _backend(args))
     build = _FAMILIES.get(tag)
     if build is None:
         raise ParameterError(
@@ -139,8 +134,9 @@ def _family_from_tag(tag: str, args, backend: str):
 
 
 def cmd_jarnik(args):
-    """The ``jarnik`` and ``liouville`` commands."""
-    fam = _family_from_tag(args.command, args, _backend(args))
+    """The ``jarnik`` and ``liouville`` commands: the family's rule at
+    ``--n``, in a document labelled with the command's name."""
+    fam = _family(args)
     pw = fam.rule(args.n)
     # the cuts take the backend of the knots, so a float family has float cuts
     cuts = default_grid(pw.domain, points=10, q_max=1)
@@ -148,30 +144,24 @@ def cmd_jarnik(args):
                   float(pw.integral(a, b))]
                  for a, b in zip(cuts, cuts[1:])]
     doc = {
-        "command": "jarnik", "family": fam.tag, "n": args.n,
+        "command": args.command, "family": fam.tag, "n": args.n,
         "knots": pw.to_json()["knots"],
         "subinterval_integrals": integrals,
     }
-    _emit(args, doc,
-          csv_rows=lambda: [[format_scalar(x), format_scalar(y)]
-                            for x, y in zip(pw.xs, pw.ys)],
+    _emit(args, doc, csv_rows=lambda doc: doc["knots"],
           csv_header=["x", "y"])
 
 
 def cmd_check(args):
     """The ``check`` and ``anydh`` commands."""
-    fam = _family_from_tag(args.family, args, _backend(args))
-    report = max_family_check(fam, M=args.M, n_max=args.N)
+    report = max_family_check(_family(args), M=args.M, n_max=args.N)
     _emit(args, {"command": args.command, **report.to_json()})
 
 
 def cmd_iset(args):
-    backend = _backend(args)
-    fam = _family_from_tag(args.family, args, backend)
-    est = divergence_estimate(fam, M=args.M, N=args.N)
+    est = divergence_estimate(_family(args), M=args.M, N=args.N)
     _emit(args, {"command": "iset", **est.to_json()},
-          csv_rows=lambda: [[format_scalar(x), float(v), int(f)] for x, v, f
-                            in zip(est.points, est.values, est.flags)],
+          csv_rows=lambda doc: ([x, v, int(f)] for x, v, f in doc["points"]),
           csv_header=["x", "value", "flagged"])
 
 
@@ -208,8 +198,7 @@ def cmd_dim(args):
     doc = {"command": "dim", "method": "box-counting", **est.to_json()}
     if warn:
         doc["warning"] = warn
-    _emit(args, doc,
-          csv_rows=lambda: [[float(d), n] for d, n in est.counts],
+    _emit(args, doc, csv_rows=lambda doc: doc["counts"],
           csv_header=["delta", "count"])
 
 
@@ -230,7 +219,7 @@ def cmd_qam_mean(args):
     gen = _parse_generator(args.gen)
     values = _parse_floats(args.tuple)
     doc = {"command": "qam mean", "generator": args.gen, "tuple": values}
-    if args.gen.startswith("power:"):
+    if isinstance(gen, Power):
         doc["power_mean"] = power_mean(gen.p, values)
     doc["mean"] = qa_mean(gen, values)
     _emit(args, doc)
@@ -307,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--q-max", type=int, default=100)
     common(p)
-    p.set_defaults(func=cmd_jarnik)
+    p.set_defaults(func=cmd_jarnik, family="jarnik")
 
     p = sub.add_parser("liouville", help="zero-dimension family")
     p.add_argument("--n", type=int, default=10)
     p.add_argument("--q-max", type=int, default=50)
     common(p, backend=False)
-    p.set_defaults(func=cmd_jarnik)
+    p.set_defaults(func=cmd_jarnik, family="liouville")
 
     p = sub.add_parser("anydh", help="max-family with prescribed dimension")
     p.add_argument("--theta", required=True)

@@ -12,6 +12,7 @@ the closure of the thin one, which is what the bump construction needs.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -130,14 +131,17 @@ def _level_reader(q, r_core, r_support, height=1):
 
 
 def _level_sums(constants):
-    """(value(fam, n, x), increment(q)) of a family ``fam`` whose q-th
-    increment is the bump sum of level q with ``constants(q)`` = (r_core,
-    r_support, height).  Each level's reader is made once per family, under
-    the family's lock; a level whose supports partially merge reads the
-    family's memoized increment instead.  Both read a level whose float
-    radii are at most TOL apart as a ParameterError: its sets could not
-    tell the core from the support."""
-    readers = {}
+    """(value(n, x), increment(q)) of a family whose q-th increment is the
+    bump sum of level q with ``constants(q)`` = (r_core, r_support,
+    height).  Each level's reader and each materialized level are made
+    once, under this rule's own lock, so the family's hooks hold no
+    reference to the family; a level whose supports partially merge is
+    read through its materialized increment, the one the family's rule
+    folds.  Both read a level whose float radii are at most TOL apart as a
+    ParameterError: its sets could not tell the core from the support."""
+    readers, levels = {}, {}
+    # reentrant: a merged level's reader materializes the level
+    lock = threading.RLock()
 
     def checked(q):
         r_core, r_support, height = constants(q)
@@ -149,22 +153,27 @@ def _level_sums(constants):
         return r_core, r_support, height
 
     def increment(q):
-        # scaled even by height 1: Liouville's float 1.0 makes its values float
-        r_core, r_support, height = checked(q)
-        return bump_from_sets(_centered_set(q, r_support),
-                              _centered_set(q, r_core)).scale(height)
+        with lock:
+            if q not in levels:
+                # scaled even by height 1: Liouville's float 1.0 makes its
+                # values float
+                r_core, r_support, height = checked(q)
+                levels[q] = bump_from_sets(
+                    _centered_set(q, r_support),
+                    _centered_set(q, r_core)).scale(height)
+            return levels[q]
 
-    def reader(fam, q):
-        with fam._lock:
+    def reader(q):
+        with lock:
             if q not in readers:
                 readers[q] = _level_reader(q, *checked(q)) \
-                    or fam.increment(q).eval
+                    or increment(q).eval
             return readers[q]
 
-    def value(fam, n, x):
+    def value(n, x):
         total = 0
         for q in range(1, n + 1):
-            total += (readers.get(q) or reader(fam, q))(x)
+            total += (readers.get(q) or reader(q))(x)
         return total
 
     return value, increment
@@ -183,12 +192,10 @@ def jarnik_family(params: JarnikParams) -> FunctionFamily:
     def step_bound(q):
         return min(1.0, float(2 * (q + 1) * constants(q)[1]))
 
-    fam = FunctionFamily(
+    return FunctionFamily(
         _DOMAIN, tag=f"jarnik(alpha0={alpha})", min_index=1,
-        max_index=params.q_max, increment=level,
-        value=lambda n, x: sums(fam, n, x),
+        max_index=params.q_max, increment=level, value=sums,
         step_bound=step_bound)
-    return fam
 
 
 @dataclass(frozen=True)
@@ -230,8 +237,7 @@ def liouville_family(params: LiouvilleParams = None) -> FunctionFamily:
 
     sums, level = _level_sums(constants)
     # the levels are float, so points are coerced to float
-    fam = FunctionFamily(
+    return FunctionFamily(
         _DOMAIN, tag=f"liouville(q_max={params.q_max})", min_index=1,
         max_index=params.q_max, increment=level,
-        value=lambda n, x: sums(fam, n, float(x)))
-    return fam
+        value=lambda n, x: sums(n, float(x)))

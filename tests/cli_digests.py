@@ -88,6 +88,14 @@ COMMANDS = [
     "cantor --theta 0.4 --backend float --levels 8 --format csv",
     # exit 2: the same resolution error
     "cantor --theta 0.3 --backend float --levels 13",
+    "liouville --n 8",
+    "qam mean --gen POWER:2 --tuple 1,2,4",
+    # the CSV table of a family rule and of a box count
+    "jarnik --theta 1/2 --n 4 --format csv",
+    f"dim --input {SET} --format csv",
+    # exit 2: an unknown family tag, and a family that needs --theta
+    "check --family nosuch",
+    "check --family jarnik",
 ]
 
 

@@ -32,14 +32,15 @@ def test_cantor_csv(capsys):
 
 
 def test_csv_rows_built_only_for_csv(capsys, monkeypatch):
-    import divergia.cli as cli
+    # the table is written through csv.writer, and only under --format csv
+    import csv
     built = []
-    set_rows = cli._set_rows
-    monkeypatch.setattr(cli, "_set_rows",
-                        lambda sets: built.append(1) or set_rows(sets))
+    writer = csv.writer
+    monkeypatch.setattr(csv, "writer",
+                        lambda buf: built.append(1) or writer(buf))
     argv = ["cantor", "--theta", "1/2", "--levels", "2"]
     assert run(capsys, *argv)[0] == 0 and not built
-    assert run(capsys, *argv, "--format", "csv")[0] == 0 and built
+    assert run(capsys, *argv, "--format", "csv")[0] == 0 and built == [1]
 
 
 def test_cantor_uniform(capsys):
@@ -76,6 +77,7 @@ def test_liouville_json(capsys):
     code, out, _ = run(capsys, "liouville", "--n", "2")
     assert code == 0
     doc = json.loads(out)
+    assert doc["command"] == "liouville"
     assert doc["family"].startswith("liouville")
 
 
@@ -145,6 +147,24 @@ def test_dim_box_counting_from_file(capsys, tmp_path):
     assert 0.4 < doc["estimate"] < 0.6
 
 
+def test_dim_reads_int_and_decimal_ends(capsys, tmp_path):
+    # plain ints and decimal strings read as the p/q ends they equal
+    from fractions import Fraction
+
+    from divergia import IntervalUnion
+    docs = [{"domain": [0, 1], "components": [["0.25", "1/2"]]},
+            IntervalUnion((0, 1), [(Fraction(1, 4), Fraction(1, 2))])
+            .to_json()]
+    outs = []
+    for k, doc in enumerate(docs):
+        path = tmp_path / f"set{k}.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "dim", "--input", str(path))
+        assert code == 0
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
 def test_dim_one_distinct_scale_is_a_parameter_error(capsys, tmp_path):
     from fractions import Fraction
 
@@ -205,12 +225,15 @@ def test_document_conforms_to_schema(capsys, tmp_path, schemas, argv,
 
 
 def test_qam_mean(capsys):
-    code, out, _ = run(capsys, "qam", "mean", "--gen", "power:1",
-                       "--tuple", "1,2,3")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["mean"] == pytest.approx(2.0)
-    assert doc["power_mean"] == pytest.approx(2.0)
+    # the kind is case-insensitive, and a power generator in any case gets
+    # its power_mean
+    for gen in ("power:1", "POWER:1"):
+        code, out, _ = run(capsys, "qam", "mean", "--gen", gen,
+                           "--tuple", "1,2,3")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["mean"] == pytest.approx(2.0)
+        assert doc["power_mean"] == pytest.approx(2.0)
 
 
 def test_qam_maximal(capsys):

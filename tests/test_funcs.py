@@ -1,8 +1,10 @@
 import bisect
+import gc
 import random
 import sys
 import threading
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -12,9 +14,9 @@ from hypothesis import strategies as st
 from divergia import (CantorNest, CantorParams, ConstructionError,
                       DomainMismatchError, FunctionFamily, IntervalUnion,
                       JarnikParams, LiouvilleParams, MonotoneReport,
-                      ParameterError, PiecewiseLinear,
-                      bump_from_sets, cantor_nest, constant_family,
-                      default_grid,
+                      ParameterError, PiecewiseLinear, anydh_family,
+                      arrow_family, bump_from_sets, cantor_nest,
+                      constant_family, default_grid, exp_rate_family,
                       jarnik_family, liouville_family, monotone_check,
                       sum_family, tietze_family)
 from divergia.scalars import TOL
@@ -352,6 +354,8 @@ def test_family_memoizes_rule():
     fam = FunctionFamily(DOMAIN, rule)
     fam.rule(2)
     fam.rule(2)
+    # without a value hook, value reads the memoized rule
+    assert fam.value(2, Fraction(1, 3)) == 2
     assert calls == [2]
 
 
@@ -392,6 +396,30 @@ def test_family_memos_hold_under_threads():
     assert not errors
     # every summand was built once: no memo update was lost
     assert sorted(calls) == list(range(1, 41))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tietze_family(cantor_nest(CantorParams(Fraction(1, 3)))),
+    lambda: jarnik_family(JarnikParams(Fraction(1, 2))),
+    liouville_family,
+    lambda: anydh_family(Fraction(1, 3)),
+    lambda: constant_family(DOMAIN, lambda n: n),
+    lambda: arrow_family(exp_rate_family()),
+], ids=["tietze", "jarnik", "liouville", "anydh", "constant", "arrow"])
+def test_family_is_freed_without_the_cycle_collector(build):
+    # one family is built per command, so it must not hold itself in a
+    # cycle: its hooks and memos, filled here, may not refer back to it
+    gc.disable()
+    try:
+        fam = build()
+        lo, hi = fam.domain
+        fam.rule(3)
+        fam.value(3, lo + (hi - lo) / 3)
+        ref = weakref.ref(fam)
+        del fam
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_family_needs_rule_or_increment():

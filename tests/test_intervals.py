@@ -181,6 +181,12 @@ def test_hausdorff_distance_basic():
     B = IntervalUnion(DOMAIN, [(0, 1)])
     assert hausdorff_distance(A, B) == Fraction(1, 2)
     assert hausdorff_distance(A, A) == 0
+    # two empty sets are at distance 0; one empty set has no distance
+    empty = IntervalUnion(DOMAIN, [])
+    assert hausdorff_distance(empty, empty) == 0
+    for pair in ((A, empty), (empty, A)):
+        with pytest.raises(ParameterError, match="both sets nonempty"):
+            hausdorff_distance(*pair)
 
 
 def test_hausdorff_gap_midpoint_case():

@@ -1,5 +1,8 @@
 import math
 import random
+import sys
+import threading
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -9,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divergia.cli
-from divergia import (FunctionFamily, JarnikParams, LiouvilleParams,
-                      ParameterError, PiecewiseLinear, default_grid,
+from divergia import (JarnikParams, LiouvilleParams, ParameterError,
+                      PiecewiseLinear, bump_from_sets, default_grid,
                       jarnik_family, liouville_family, y_set, z_set)
 from divergia.jarnik import _level_reader, _radius
 
@@ -354,16 +357,62 @@ def test_partially_merged_level_agrees_with_materialized():
 
 
 def test_partially_merged_level_falls_back_once(monkeypatch):
-    requested = Counter()
-    increment = FunctionFamily.increment
+    # bump builds, by the components of their support and core sets
+    built = []
 
-    def counting(self, n):
-        requested[n] += 1
-        return increment(self, n)
+    def counting(outer, inner):
+        built.append((outer.components, inner.components))
+        return bump_from_sets(outer, inner)
 
-    monkeypatch.setattr(FunctionFamily, "increment", counting)
+    monkeypatch.setattr("divergia.jarnik.bump_from_sets", counting)
     fam = merged_family()
     for x in default_grid((0, 1)):
         fam.value(6, x)
-    # the merged level reads its materialized increment once, not per point
-    assert requested == Counter({2: 1})
+    # the merged level is materialized once, not per point, and the rule
+    # folds that same level rather than building it again
+    alpha = Fraction(11, 5)
+    level_2 = (z_set(2, alpha).components, y_set(2, alpha).components)
+    assert built == [level_2]
+    fam.rule(6)
+    assert len(built) == 6 and built.count(level_2) == 1
+
+
+def test_levels_are_built_once_under_threads(monkeypatch):
+    built = Counter()
+
+    def counting(outer, inner):
+        built[outer.components, inner.components] += 1
+        time.sleep(1e-3)  # lets another thread in mid-build
+        return bump_from_sets(outer, inner)
+
+    monkeypatch.setattr("divergia.jarnik.bump_from_sets", counting)
+    fam = merged_family()
+    grid = default_grid((0, 1))
+    errors = []
+
+    def worker(seed):
+        # pointwise values and rules race for the same levels
+        rng = random.Random(seed)
+        try:
+            for _ in range(20):
+                n, x = rng.randint(2, 6), rng.choice(grid)
+                assert fam.value(n, x) == pytest.approx(fam.rule(n).eval(x),
+                                                        abs=1e-12)
+        except AssertionError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,))
+                   for k in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors
+    # no level was built twice: no memo update was lost
+    assert len(built) == 6 and set(built.values()) == {1}

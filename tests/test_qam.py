@@ -1,7 +1,5 @@
-import gc
 import math
 import random
-import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -375,19 +373,6 @@ def test_arrow_family_interpolation_error_for_curved_arrows():
     fam.rule(3)
     assert fam.info[("interp_error", 3)] >= 0
     assert "lower_bound_note" in fam.info
-
-
-def test_arrow_family_is_freed_without_the_cycle_collector():
-    # one family is built per call, so it must not hold itself in a cycle
-    gc.disable()
-    try:
-        fam = arrow_family(exp_rate_family())
-        fam.rule(3)
-        ref = weakref.ref(fam)
-        del fam
-        assert ref() is None
-    finally:
-        gc.enable()
 
 
 # ----------------------------------------------------------------------
