@@ -56,11 +56,15 @@ def _backend(args) -> str:
 def _emit(args, document, csv_rows=None, csv_header=None):
     """Write the JSON document, or under ``--format csv`` its table: the
     rows that ``csv_rows`` reads from the document, under ``csv_header``.
-    The table is read only when it is written, and a command without
-    ``csv_rows`` writes JSON in either format."""
+    The table is read only when it is written; a command without
+    ``csv_rows`` has no table, and asking it for CSV is a parameter
+    error."""
     fmt = getattr(args, "format", "json")
     out = getattr(args, "output", None)
-    if fmt == "csv" and csv_rows is not None:
+    if fmt == "csv":
+        if csv_rows is None:
+            raise ParameterError(
+                f"--format csv: this {args.command} document has no table")
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(csv_header)
@@ -105,7 +109,7 @@ def cmd_cantor(args):
 
 
 #: family builders by tag, called with (theta, q_max); all but liouville
-#: need a theta
+#: need a theta, and liouville takes none
 _FAMILIES = {
     "cantor-tietze": lambda theta, q_max: tietze_family(
         cantor_nest(CantorParams(theta))),
@@ -128,8 +132,9 @@ def _family(args):
         raise ParameterError(
             f"unknown family tag {tag!r}; choose from "
             f"{', '.join(_FAMILIES)}")
-    if theta is None and tag != "liouville":
-        raise ParameterError(f"{tag} family needs --theta")
+    if (theta is None) != (tag == "liouville"):
+        needs = "takes no" if theta is not None else "needs"
+        raise ParameterError(f"{tag} family {needs} --theta")
     return build(theta, args.q_max)
 
 

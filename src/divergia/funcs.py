@@ -21,7 +21,17 @@ which the plain "hold 1 across gaps" rule would violate.
 
 ``_component_knots`` is the one implementation of this rule: it gives the
 knots on one outer component, which ``bump_from_sets`` concatenates and
-the pointwise ``tietze_family`` value interpolates.
+the pointwise ``tietze_family`` value interpolates.  On exact inputs it
+runs on integers: numerators over one common denominator, doubled so that
+a dip (a + b) >> 1 stays an integer and the values 0, 1/2 and 1 are 0, 1
+and 2.  ``bump_from_sets`` feeds it the scaled view of its nesting walk
+and keeps the sets' endpoint objects as knots; the exact Tietze value
+feeds it the integers of the nest descent and builds one Fraction per
+answer.  Float sets, float nests and views past ``_MAX_BITS`` run it on
+the objects.
+
+``PiecewiseLinear.eval`` and ``integral`` rank a Fraction among float knots
+by its float, and compare it exactly only with a knot equal to that float.
 """
 
 from __future__ import annotations
@@ -30,6 +40,8 @@ import bisect
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain
 from typing import Callable, Optional
 
 from .errors import ConstructionError, ParameterError, require_same_domain
@@ -58,12 +70,15 @@ class PiecewiseLinear:
         object.__setattr__(self, "ys", ys)
 
     @classmethod
-    def _trusted(cls, xs, ys) -> "PiecewiseLinear":
+    def _trusted(cls, xs, ys, exact=None) -> "PiecewiseLinear":
         """The function on knots already known to be valid, as ``_merge``
-        yields them, without the check of ``__init__``."""
+        yields them, without the check of ``__init__``; ``exact``, when
+        the caller knows it, is kept as its backend."""
         self = object.__new__(cls)
         object.__setattr__(self, "xs", tuple(xs))
         object.__setattr__(self, "ys", tuple(ys))
+        if exact is not None:
+            object.__setattr__(self, "exact", exact)
         return self
 
     @classmethod
@@ -80,10 +95,14 @@ class PiecewiseLinear:
     def domain(self):
         return (self.xs[0], self.xs[-1])
 
-    @property
+    @cached_property
     def exact(self) -> bool:
         return all(is_exact(v) for v in self.xs) and \
             all(is_exact(v) for v in self.ys)
+
+    @cached_property
+    def _float_xs(self) -> bool:
+        return all(type(v) is float for v in self.xs)
 
     # -- evaluation -----------------------------------------------------
 
@@ -91,12 +110,38 @@ class PiecewiseLinear:
         return self.eval(x)
 
     def eval(self, x):
-        if not self.xs[0] <= x <= self.xs[-1]:
+        i, on = self._rank(x)
+        if i == 0 or (i == len(self.xs) and not on):
             raise ParameterError(f"{x} outside domain {self.domain}")
-        i = bisect.bisect_right(self.xs, x)
-        if i == len(self.xs):
-            return self.ys[-1]
-        if x == self.xs[i - 1]:
+        return self._at(x, i, on)
+
+    def _rank(self, x):
+        """(i, on): the number i of knots at or left of x, as
+        ``bisect_right`` counts them, and whether x is knot i - 1.
+
+        A Fraction x among float knots is ranked by float(x): rounding is
+        monotone, so every knot other than one equal to float(x) lies on
+        the same side of x as of float(x), and only that tie is compared
+        exactly.  Each other comparison would build a Fraction of a knot.
+        """
+        xs = self.xs
+        if isinstance(x, Fraction) and self._float_xs:
+            try:
+                f = float(x)
+            except OverflowError:  # past every float: compare exactly
+                f = x
+            i = bisect.bisect_right(xs, f)
+            if not i or xs[i - 1] != f:
+                return i, False
+            if x < f:
+                return i - 1, False
+            return i, x == f
+        i = bisect.bisect_right(xs, x)
+        return i, i > 0 and x == xs[i - 1]
+
+    def _at(self, x, i, on):
+        """The value at x, ranked i by ``_rank``, on the domain."""
+        if on:
             return self.ys[i - 1]
         return _interpolate(x, self.xs[i - 1], self.xs[i],
                             self.ys[i - 1], self.ys[i])
@@ -131,19 +176,23 @@ class PiecewiseLinear:
             return None
 
     def integral(self, x, y):
-        """Exact trapezoid integral over [x, y] (subset of the domain)."""
+        """Trapezoid integral over [x, y] (subset of the domain): exact on
+        exact knots.  On float knots the arithmetic is float, so an exact
+        cut enters it rounded to float(x), as a float cut would."""
         if x >= y:
             raise ParameterError(f"need x < y, got [{x}, {y}]")
-        if x < self.xs[0] or y > self.xs[-1]:
+        xs, ys = self.xs, self.ys
+        i, on_x = self._rank(x)
+        j, on_y = self._rank(y)
+        if i == 0 or (j == len(xs) and not on_y):
             raise ParameterError(f"[{x}, {y}] outside domain {self.domain}")
         total = 0
-        i = bisect.bisect_right(self.xs, x)
-        prev_x, prev_y = x, self.eval(x)
-        while i < len(self.xs) and self.xs[i] < y:
-            total += (self.ys[i] + prev_y) * (self.xs[i] - prev_x) / 2
-            prev_x, prev_y = self.xs[i], self.ys[i]
-            i += 1
-        total += (self.eval(y) + prev_y) * (y - prev_x) / 2
+        prev_x, prev_y = x, self._at(x, i, on_x)
+        # the knots strictly between x and y
+        for k in range(i, j - 1 if on_y else j):
+            total += (ys[k] + prev_y) * (xs[k] - prev_x) / 2
+            prev_x, prev_y = xs[k], ys[k]
+        total += (self._at(y, j, on_y) + prev_y) * (y - prev_x) / 2
         return total
 
     # -- serialization --------------------------------------------------
@@ -208,41 +257,59 @@ def _merge(f: PiecewiseLinear, g: PiecewiseLinear):
 # bump construction
 # ----------------------------------------------------------------------
 
-def _component_knots(A, B, inners, lo, hi):
+_HALF = Fraction(1, 2)
+
+
+def _object_dip(a, b, ref):
+    """The dip of the object rule: the midpoint of [a, b], exact between
+    two int ends as ``intervals._half`` gives it, at 1/2 in the backend of
+    the inner endpoint ref."""
+    x = Fraction(a + b, 2) if type(a) is int and type(b) is int \
+        else a + (b - a) / 2
+    return x, _HALF if is_exact(ref) else 0.5
+
+
+def _integer_dip(a, b, ref):
+    """The dip of the integer rule: on doubled numerators the midpoint is
+    an integer, and the value 1/2 is 1."""
+    return (a + b) >> 1, 1
+
+
+def _component_knots(A, B, inners, lo, hi, dip=_object_dip, one=1):
     """Knots of the canonical bump on one outer component [A, B] of a
     domain [lo, hi], given its nonempty sorted inner sub-components.
 
-    Yields the knots in strictly increasing order, lazily, so that a
-    pointwise caller computes only those left of its point; a repeated
-    abscissa with a different value raises ConstructionError.  A float
-    outer end within TOL of a domain end reaches it, as the nesting test
-    of ``IntervalUnion._housed`` counts it.
+    The rule runs on the endpoint objects, or on integer numerators over
+    one common denominator, doubled so that every dip stays an integer:
+    the caller passes ``_integer_dip`` and ``one`` = 2, and the values 0,
+    1/2 and 1 come out as 0, 1 and 2.  Yields the knots in strictly
+    increasing order, lazily, so that a pointwise caller computes only
+    those left of its point; a repeated abscissa with a different value
+    raises ConstructionError.  A float outer end within TOL of a domain
+    end reaches it, as the nesting test of ``IntervalUnion._housed``
+    counts it.
     """
-    def dip(a, b, ref):
-        # midpoint of [a, b] at 1/2, in the backend of the inner endpoint ref
-        return a + (b - a) / 2, Fraction(1, 2) if is_exact(ref) else 0.5
-
     def raw():
         p1, qk = inners[0][0], inners[-1][1]
         tol = 0 if is_exact(A) else TOL
         if A > lo + tol:
             yield A, 0
         else:
-            yield lo, 1
+            yield lo, one
             if p1 > A:
                 yield dip(A, p1, p1)
-        yield p1, 1
+        yield p1, one
         for (_, q), (a, _) in zip(inners, inners[1:]):
-            yield q, 1
+            yield q, one
             yield dip(q, a, q)
-            yield a, 1
-        yield qk, 1
+            yield a, one
+        yield qk, one
         if B < hi - tol:
             yield B, 0
         else:
             if B > qk:
                 yield dip(qk, B, qk)
-            yield hi, 1
+            yield hi, one
 
     last = None
     for knot in raw():
@@ -255,28 +322,73 @@ def _component_knots(A, B, inners, lo, hi):
         yield knot
 
 
+def _segment(knots, x):
+    """The knots (x0, y0) and (x1, y1) of the first segment of ``knots``
+    that reaches x, for x at or right of the first knot."""
+    x0, y0 = next(knots)
+    for x1, y1 in knots:
+        if x <= x1:
+            break
+        x0, y0 = x1, y1
+    return x0, y0, x1, y1
+
+
+def _numbered(pairs, U):
+    """(numerator, object) for each component end of U, in order."""
+    for (a, b), (u, v) in zip(pairs, U.components):
+        yield a, u
+        yield b, v
+
+
 def bump_from_sets(outer: IntervalUnion, inner: IntervalUnion) -> PiecewiseLinear:
     """Canonical continuous [0,1]-valued function equal to 1 on ``inner``
     and 0 off ``outer``; requires inner inside the relative interior of
-    outer; mixed-backend sets meet as floats."""
+    outer; mixed-backend sets meet as floats.
+
+    Exact sets run the rule on the doubled numerators of the view that
+    the nesting walk reads; the knots keep the sets' endpoint objects, and
+    only a dip becomes a new Fraction.  Float sets and views past
+    ``_MAX_BITS`` run it on the objects."""
     outer, inner = meet(outer, inner)
     lo, hi = outer.domain
+    (S, LO, HI, P, Q), housed = inner._housed(outer, True)
     # each inner component goes under the outer one that holds it, in order
-    inner_by_outer = {}
-    for j, comp in zip(inner._housed(outer, True), inner.components):
+    groups = {}
+    for i, j in enumerate(housed):
         if j < 0:
             raise ConstructionError("inner set is not inside the relative "
                                     "interior of the outer set")
-        inner_by_outer.setdefault(j, []).append(comp)
+        groups.setdefault(j, []).append(i)
 
-    pts = []
-    for j, inners in inner_by_outer.items():
-        A, B = outer.components[j]
-        pts += _component_knots(A, B, inners, lo, hi)
+    exact = outer.exact and S
+    if exact:
+        # each end's object by its doubled numerator: where ends are equal
+        # the rule yields lo, then the inner ends in order, then hi, and an
+        # outer end only where it meets none of them; a dip is X over 2 S
+        ends = {}
+        for X, end in chain([(LO, lo)], _numbered(P, inner), [(HI, hi)],
+                            _numbered(Q, outer)):
+            ends.setdefault(X << 1, end)
+        values, two = (0, _HALF, 1), S << 1
+        pts = [(Fraction(X, two) if c == 1 else ends[X], values[c])
+               for j, group in groups.items()
+               for X, c in _component_knots(
+                   Q[j][0] << 1, Q[j][1] << 1,
+                   [(P[i][0] << 1, P[i][1] << 1) for i in group],
+                   LO << 1, HI << 1, _integer_dip, 2)]
+    else:
+        pts = [knot for j, group in groups.items()
+               for knot in _component_knots(
+                   *outer.components[j],
+                   [inner.components[i] for i in group], lo, hi)]
     if not pts or pts[0][0] > lo:
         pts.insert(0, (lo, 0))
     if pts[-1][0] < hi:
         pts.append((hi, 0))
+    if exact:
+        # the integer walk gives strictly increasing knots, all exact
+        return PiecewiseLinear._trusted([x for x, _ in pts],
+                                        [y for _, y in pts], exact=True)
     return PiecewiseLinear.from_knots(pts)
 
 
@@ -413,6 +525,7 @@ def tietze_family(nest) -> FunctionFamily:
     partial sum stays strictly below N at interior points.
     """
     lo, hi = domain = nest.params.domain
+    exact = nest.params.exact
 
     def delta(i):
         try:
@@ -423,23 +536,37 @@ def tietze_family(nest) -> FunctionFamily:
     def value(n, x):
         # bump i is 1 while x lies in a child of its level-i component;
         # at the level k where x leaves the nest all deeper bumps vanish.
-        # The descent decides that on integers, one level past n
+        # The descent decides that on integers, one level past n; an exact
+        # x on an exact nest is interpolated on them too
+        if exact and is_exact(x):
+            return exact_value(n, x)
         k, (A, B), children = nest.deepest_component(n + 1, x)
         if k > n:
             return n + 1
-        knots = _component_knots(A, B, children, lo, hi)
         try:
-            x0, y0 = next(knots)
-            for x1, y1 in knots:
-                if x <= x1:
-                    break
-                x0, y0 = x1, y1
+            x0, y0, x1, y1 = _segment(
+                _component_knots(A, B, children, lo, hi), x)
         except ConstructionError as err:
             # rounded children that floats cannot keep apart
             raise nest._unresolved(k + 1) from err
         # interpolated even at a knot, so that the value takes the
         # backend of x (a knot value 1 at a domain endpoint is int)
         return k + _interpolate(x, x0, x1, y0, y1)
+
+    def exact_value(n, x):
+        # the rule on the descent's integers, doubled over 2 T: the value
+        # k + y/2 at x, with y interpolated, is one Fraction
+        k, A, W, X, S = nest._descent(n + 1, x)
+        if k > n:
+            return n + 1
+        starts, w, T = nest._split(A, W, S)
+        f = (T // S) << 1
+        X *= f
+        x0, y0, x1, y1 = _segment(_component_knots(
+            A * f, (A + W) * f, [(c << 1, (c + w) << 1) for c in starts],
+            0, T << 1, _integer_dip, 2), X)
+        h = x1 - x0
+        return Fraction((2 * k + y0) * h + (y1 - y0) * (X - x0), 2 * h)
 
     def step_bound(n):
         # bump n is <= 1 and supported on level n

@@ -97,9 +97,12 @@ class CantorNest:
     component is X over D = q W, and it becomes (X << b) - E in the left
     child or (X << b) - F in the right one, over D M, whichever lies in
     [0, D M], where E and F are the child offsets at this denominator; if
-    neither does, x leaves the nest there, and only that component and
-    its children are converted.  Membership is decided on these integers,
-    never on rounded endpoints.
+    neither does, x leaves the nest there.  ``_descent`` is that one
+    descent: it returns the exit component, x and their denominator as
+    integers, and ``_split`` gives the component's children by the child
+    rule.  ``deepest_component`` converts only that component and its
+    children; the exact Tietze value reads the integers themselves.
+    Membership is decided on these integers, never on rounded endpoints.
     """
 
     def __init__(self, params: CantorParams):
@@ -181,17 +184,31 @@ class CantorNest:
     def deepest_component(self, n: int, x):
         """Deepest level k <= n whose component contains x, as (k, component,
         children), where children are the component's two components at
-        level k + 1; one descent of the address of x through k levels."""
+        level k + 1: the integer descent, converted."""
+        k, A, W, _, S = self._descent(n, x)
+        children = self._ends(*self._split(A, W, S))
+        if k == 0:
+            return 0, self.params.domain, children
+        return k, self._ends([A], W, S)[0], children
+
+    def _descent(self, n: int, x):
+        """The one descent of the address of x through at most n levels, on
+        integers: (k, A, W, X, S) for the deepest level k <= n whose
+        component [A, A + W] over S contains x, where x is X over S."""
         if n < 0:
             raise ParameterError("level index must be >= 0")
+        # the domain is [0, 1], so x = p/q lies in it when 0 <= p <= q; a
+        # float is compared first, for nan and the infinities
         lo, hi = self.params.domain
-        if not lo <= x <= hi:
+        if isinstance(x, float) and not lo <= x <= hi:
             raise ParameterError(f"{x} outside domain")
-        x = Fraction(x)
+        p, q = x.as_integer_ratio()
+        if not 0 <= p <= q:
+            raise ParameterError(f"{x} outside domain")
         M, b, d = self._M, self._b, self._d
-        X = X0 = x.numerator * d
-        D = D0 = x.denominator * d
-        E = x.denominator * M * self._e
+        X = X0 = p * d
+        D = D0 = q * d
+        E = q * M * self._e
         G = (D << b) - D * M - 2 * E
         for j in range(n):
             # (X << b) - E in the left child, else (X << b) - F in the
@@ -205,20 +222,19 @@ class CantorNest:
             X, D, E, G = Y, W, E * M, G * M
         else:
             j = n
-        # the level-j component starts at (X0 << bj) - X over D0 2^(bj)
-        return self._rebuild(j, (X0 << (b * j)) - X, D, D0 << (b * j))
+        # x sits at X in the level-j component, over D0 2^(bj)
+        X0 <<= b * j
+        return j, X0 - X, D, X0, D0 << (b * j)
 
-    def _rebuild(self, j, B, W, S):
-        """(j, component, children) of the level-j component [B, B + W]
-        over S, each endpoint converted once."""
-        starts, w = self._children([B], W)
-        children = self._ends(starts, w, S << self._b)
-        if j == 0:
-            return 0, self.params.domain, children
-        return j, self._ends([B], W, S)[0], children
+    def _split(self, A, W, S):
+        """(starts, w, T): the two children of the component [A, A + W]
+        over S, by the one child rule, as their left ends and width over
+        their denominator T = S 2^b."""
+        starts, w = self._children([A], W)
+        return starts, w, S << self._b
 
     def contains(self, n: int, x) -> bool:
-        return self.deepest_component(n, x)[0] == n
+        return self._descent(n, x)[0] == n
 
 
 def cantor_nest(p: CantorParams) -> CantorNest:

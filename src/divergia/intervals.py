@@ -267,37 +267,44 @@ class IntervalUnion:
         return _walked(self, comps, exact, (S, LO, HI, ends))
 
     def _housed(self, other: "IntervalUnion", interior: bool):
-        """The index of the component of other that holds each component
-        of self, in order, or -1 where none does: one walk pairs each
-        component with the last component of other that starts at or
-        before it, which holds it if it contains it, and with ``interior``
-        strictly inside except at sides where it reaches a domain end (TOL
-        on floats).  Mixed-backend operands meet as floats."""
+        """(view, indices): the ``_common`` view (S, LO, HI, P, Q) of self
+        and other after they meet, and the index of the component of other
+        that holds each component of self, in order, or -1 where none
+        does.  One lazy walk pairs each component with the last component
+        of other that starts at or before it, which holds it if it
+        contains it, and with ``interior`` strictly inside except at sides
+        where it reaches a domain end (TOL on floats).  Mixed-backend
+        operands meet as floats."""
         require_same_domain(self, other)
         a, b = meet(self, other)
-        _, lo, hi, P, Q = _common(a, b)
+        view = _common(a, b)
+        _, lo, hi, P, Q = view
         tol = 0 if a.exact else TOL
-        j, last = -1, len(Q) - 1
-        for x, y in P:
-            while j < last and Q[j + 1][0] <= x:
-                j += 1
-            if j >= 0:
-                c, d = Q[j]
-                if y <= d + tol and (not interior or (
-                        (c < x - tol or c <= lo + tol)
-                        and (y < d - tol or d >= hi - tol))):
-                    yield j
-                    continue
-            yield -1
+
+        def indices():
+            j, last = -1, len(Q) - 1
+            for x, y in P:
+                while j < last and Q[j + 1][0] <= x:
+                    j += 1
+                if j >= 0:
+                    c, d = Q[j]
+                    if y <= d + tol and (not interior or (
+                            (c < x - tol or c <= lo + tol)
+                            and (y < d - tol or d >= hi - tol))):
+                        yield j
+                        continue
+                yield -1
+
+        return view, indices()
 
     def subset_of(self, other: "IntervalUnion") -> bool:
-        return all(j >= 0 for j in self._housed(other, False))
+        return all(j >= 0 for j in self._housed(other, False)[1])
 
     def subset_of_relative_interior(self, other: "IntervalUnion") -> bool:
         """True iff every component of self sits strictly inside a component
         of other, except at sides where other reaches a domain endpoint
         (interior is taken relative to the domain)."""
-        return all(j >= 0 for j in self._housed(other, True))
+        return all(j >= 0 for j in self._housed(other, True)[1])
 
     def as_float(self) -> "IntervalUnion":
         """This set on the float backend, each endpoint converted once; a
@@ -319,10 +326,21 @@ class IntervalUnion:
 
     @classmethod
     def from_json(cls, doc: dict) -> "IntervalUnion":
+        """The set of a document: ``p/q`` ends that are already canonical
+        go through ``_canonical`` at one common denominator, and any other
+        input through the constructor."""
         lo, hi = (parse_scalar(v) for v in doc["domain"])
-        comps = [(parse_scalar(a), parse_scalar(b))
-                 for a, b in doc["components"]]
-        return cls((lo, hi), comps)
+        comps = doc["components"]
+        # _canonical checks the ends against the domain, not the domain
+        if is_exact(lo) and is_exact(hi) and lo < hi:
+            scaled = _ratios(comps)
+            if scaled is not None:
+                try:
+                    return cls._canonical((lo, hi), *scaled)
+                except ParameterError:
+                    pass
+        return cls((lo, hi), [(parse_scalar(a), parse_scalar(b))
+                              for a, b in comps])
 
 
 def hausdorff_distance(A: IntervalUnion, B: IntervalUnion):
@@ -365,6 +383,26 @@ def hausdorff_distance(A: IntervalUnion, B: IntervalUnion):
 
 def _ratio(x):
     return f"{x.numerator}/{x.denominator}"
+
+
+def _ratios(components):
+    """(pairs, S): the ``p/q`` string ends of ``components`` as integer
+    numerator pairs over their common denominator S, or None for any other
+    input or past ``_MAX_BITS``."""
+    try:
+        ends = [tuple(map(int, end.split("/")))
+                for a, b in components for end in (a, b)]
+    except (AttributeError, TypeError, ValueError):
+        return None
+    if any(len(end) != 2 or end[1] <= 0 for end in ends):
+        return None
+    S = 1
+    for d in {d for _, d in ends}:
+        S = lcm(S, d)
+        if S.bit_length() > _MAX_BITS:
+            return None
+    nums = [n * (S // d) for n, d in ends]
+    return list(zip(nums[::2], nums[1::2])), S
 
 
 def _number(x):

@@ -96,6 +96,16 @@ COMMANDS = [
     # exit 2: an unknown family tag, and a family that needs --theta
     "check --family nosuch",
     "check --family jarnik",
+    # the integer Tietze value and exact bumps at depth, and exact cuts
+    # on the float knots of a sum
+    "iset --family cantor-tietze --theta 1/4 --M 6 --N 30",
+    "iset --family anydh --theta 1/2 --M 6 --N 20",
+    "anydh --theta 1/3 --M 5.9 --N 30",
+    "check --family cantor-tietze --theta 1/5 --M 8 --N 30",
+    # exit 2: a family that takes no --theta, and a table asked of a
+    # command that has none
+    "check --family liouville --theta 7 --N 3",
+    "dim --moran 1/4,1/3 --format csv",
 ]
 
 

@@ -1,0 +1,98 @@
+"""Object references for the exact function kernels.
+
+The library runs the ramp rule of ``divergia.funcs`` on integer numerators
+where it can; these references run the same rule on the endpoint objects,
+written out as a list, so that the integer paths are compared with an
+independent copy of the rule rather than with themselves.
+"""
+
+from __future__ import annotations
+
+import bisect
+from fractions import Fraction
+
+from divergia import ConstructionError, PiecewiseLinear
+from divergia.scalars import TOL, is_exact, meet
+
+
+def _mid(a, b):
+    # the exact midpoint between two int ends, as intervals._half gives it
+    if type(a) is int and type(b) is int:
+        return Fraction(a + b, 2)
+    return a + (b - a) / 2
+
+
+def _half(ref):
+    return Fraction(1, 2) if is_exact(ref) else 0.5
+
+
+def reference_component_knots(A, B, inners, lo, hi):
+    """The canonical bump's knots on the outer component [A, B] of the
+    domain [lo, hi], over the sorted inner components ``inners``: 1 on each
+    inner component, a dip to 1/2 at the midpoint of each gap, a ramp from
+    0 at an outer end inside the domain, and a dip to 1/2 next to an outer
+    end at a domain end (within TOL on floats).  Equal abscissae keep the
+    first knot, and a different value there raises ConstructionError."""
+    tol = 0 if is_exact(A) else TOL
+    pts = []
+    if A > lo + tol:
+        pts.append((A, 0))
+    else:
+        pts.append((lo, 1))
+        if inners[0][0] > A:
+            pts.append((_mid(A, inners[0][0]), _half(inners[0][0])))
+    prev = None
+    for a, b in inners:
+        if prev is not None:
+            pts.append((_mid(prev, a), _half(prev)))
+        pts += [(a, 1), (b, 1)]
+        prev = b
+    if B < hi - tol:
+        pts.append((B, 0))
+    else:
+        if B > prev:
+            pts.append((_mid(prev, B), _half(prev)))
+        pts.append((hi, 1))
+    out = []
+    for x, y in pts:
+        if out and out[-1][0] == x:
+            if out[-1][1] != y:
+                raise ConstructionError(f"conflicting knot values at x={x}")
+            continue
+        out.append((x, y))
+    return out
+
+
+def reference_bump(outer, inner):
+    """The bump of ``inner`` in ``outer`` after meet, each inner component
+    grouped under the outer one found by a bisect over outer's starts, by
+    the reference rule."""
+    outer, inner = meet(outer, inner)
+    lo, hi = outer.domain
+    starts = [c for c, _ in outer.components]
+    groups = {}
+    for comp in inner.components:
+        j = bisect.bisect_right(starts, comp[0]) - 1
+        groups.setdefault(j, []).append(comp)
+    pts = [knot for j, inners in groups.items()
+           for knot in reference_component_knots(*outer.components[j], inners,
+                                                 lo, hi)]
+    if not pts or pts[0][0] > lo:
+        pts.insert(0, (lo, 0))
+    if pts[-1][0] < hi:
+        pts.append((hi, 0))
+    return PiecewiseLinear.from_knots(pts)
+
+
+def reference_tietze_value(nest, n, x):
+    """value(n, x) of the nest's Tietze family for an exact x, on the
+    objects: the converted exit component of the descent, the reference
+    rule on it, and the interpolation formula."""
+    k, (A, B), children = nest.deepest_component(n + 1, x)
+    if k > n:
+        return n + 1
+    lo, hi = nest.params.domain
+    knots = reference_component_knots(A, B, children, lo, hi)
+    j = next(j for j in range(1, len(knots)) if x <= knots[j][0])
+    (x0, y0), (x1, y1) = knots[j - 1], knots[j]
+    return k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))

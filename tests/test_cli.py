@@ -285,6 +285,22 @@ def test_threshold_must_be_finite_and_positive(capsys, argv):
     assert json.loads(err)["error"] == "parameter"
 
 
+@pytest.mark.parametrize("argv, message", [
+    # liouville takes no theta: a given one is refused, not dropped
+    ("check --family liouville --theta 7 --N 3",
+     "liouville family takes no --theta"),
+    ("iset --family liouville --theta 1/2 --N 3",
+     "liouville family takes no --theta"),
+    # dim --moran has no table to write
+    ("dim --moran 1/4,1/3 --format csv",
+     "--format csv: this dim document has no table"),
+])
+def test_unused_parameter_is_a_parameter_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2 and not out
+    assert json.loads(err) == {"error": "parameter", "message": message}
+
+
 def test_bad_number_exit_code(capsys):
     code, out, err = run(capsys, "cantor", "--theta", "abc")
     assert code == 2

@@ -8,7 +8,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divergia import (CantorNest, CantorParams, ConstructionError,
@@ -20,6 +20,8 @@ from divergia import (CantorNest, CantorParams, ConstructionError,
                       jarnik_family, liouville_family, monotone_check,
                       sum_family, tietze_family)
 from divergia.scalars import TOL
+
+from ramp_reference import reference_bump, reference_tietze_value
 
 DOMAIN = (0, 1)
 
@@ -46,6 +48,13 @@ def test_eval_outside_domain_rejected():
     f = PiecewiseLinear((0, 1), (0, 1))
     with pytest.raises(ParameterError):
         f.eval(2)
+    # a Fraction past every float, among float knots
+    g = PiecewiseLinear((0.0, 1.0), (0.0, 1.0))
+    for x in (Fraction(10 ** 400), Fraction(-10 ** 400, 3)):
+        with pytest.raises(ParameterError, match="outside domain"):
+            g.eval(x)
+        with pytest.raises(ParameterError, match="outside domain"):
+            g.integral(*sorted((x, Fraction(1, 2))))
 
 
 def test_knots_must_strictly_increase():
@@ -88,6 +97,43 @@ def test_integral_rejects_bad_bounds():
         f.integral(Fraction(1, 2), Fraction(1, 2))
     with pytest.raises(ParameterError):
         f.integral(0, 2)
+
+
+def _reference_integral(f, x, y):
+    """``integral`` with every comparison exact: the reference for the
+    float ranking of exact cuts."""
+    total = 0
+    i = bisect.bisect_right(f.xs, x)
+    prev_x, prev_y = x, _reference_eval(f, x)
+    while i < len(f.xs) and f.xs[i] < y:
+        total += (f.ys[i] + prev_y) * (f.xs[i] - prev_x) / 2
+        prev_x, prev_y = f.xs[i], f.ys[i]
+        i += 1
+    total += (_reference_eval(f, y) + prev_y) * (y - prev_x) / 2
+    return total
+
+
+def test_exact_cut_tied_with_a_float_knot():
+    # float(x) is the knot 0.3 for all three cuts, while x lies below it,
+    # on it and above it.  The left segment read at 0.3 gives
+    # 0.8999999999999999, not the knot's 0.9, so a cut ranked on the wrong
+    # side of the tie moves the last bit of eval and of the integrals
+    f = PiecewiseLinear((0.0, 0.1, 0.3, 1.0), (0.5, 0.2, 0.9, 0.4))
+    knot, tiny = Fraction(0.3), Fraction(1, 2 ** 80)
+    below, above = knot - tiny, knot + tiny
+    assert float(below) == float(above) == 0.3
+    assert repr(f.eval(below)) == "0.8999999999999999"
+    assert repr(f.eval(knot)) == repr(f.eval(above)) == "0.9"
+    for x in (below, knot, above):
+        got, want = f.eval(x), _reference_eval(f, x)
+        assert (type(got), repr(got)) == (type(want), repr(want))
+        for a, b in [(0, x), (Fraction(1, 20), x), (x, 1), (x, 0.5)]:
+            got, want = f.integral(a, b), _reference_integral(f, a, b)
+            assert (type(got), repr(got)) == (type(want), repr(want))
+    # on the knot itself the stored value is read, not interpolated:
+    # the formula would turn -0.0 into 0.0
+    g = PiecewiseLinear((0.0, 0.3, 1.0), (1.0, -0.0, 1.0))
+    assert repr(g.eval(knot)) == "-0.0" and repr(g.eval(above)) == "0.0"
 
 
 def test_scale_and_sub():
@@ -316,6 +362,31 @@ def test_bump_range_and_exactness():
         for _ in range(30):
             x = Fraction(rng.randint(0, 1024), 1024)
             assert 0 <= b.eval(x) <= 1
+
+
+def test_bump_dips_between_int_ends_are_exact():
+    b = bump_from_sets(IntervalUnion((0, 10), [(0, 10)]),
+                       IntervalUnion((0, 10), [(2, 3), (6, 7)]))
+    assert b.exact
+    assert b.xs == (0, 1, 2, 3, Fraction(9, 2), 6, 7, Fraction(17, 2), 10)
+    assert [type(x) for x in b.xs] == [int, Fraction, int, int, Fraction,
+                                       int, int, Fraction, int]
+    assert b.ys == (1, Fraction(1, 2), 1, 1, Fraction(1, 2), 1, 1,
+                    Fraction(1, 2), 1)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_exact_nest_bumps_match_the_object_rule(k):
+    # the bumps of consecutive levels run the rule on the doubled level
+    # numerators; the object rule gives the same knots, types included
+    nest = cantor_nest(CantorParams(Fraction(1, k)))
+    for j in range(9):
+        outer, inner = nest.level(j), nest.level(j + 1)
+        b, want = bump_from_sets(outer, inner), reference_bump(outer, inner)
+        assert [(v, type(v)) for v in b.xs + b.ys] == \
+            [(v, type(v)) for v in want.xs + want.ys]
+        # the integer path states its backend, so meet reads no knot
+        assert vars(b)["exact"] is True and want.exact
 
 
 # ----------------------------------------------------------------------
@@ -570,6 +641,35 @@ def test_float_value_below_resolution_raises():
     assert [fam.value(n, x) for n in range(16)] == list(range(1, 17))
     with pytest.raises(ParameterError, match="theta=0.3: level 17 "):
         fam.value(20, x)
+
+
+@st.composite
+def nest_points(draw):
+    """(nest, x): an exact nest and a rational x in [0, 1] that is random,
+    a domain end, or the image under a random address of up to 45 maps of
+    a component end, an inner point or the central gap midpoint 1/2."""
+    k = draw(st.sampled_from((2, 3, 4, 5)))
+    nest = cantor_nest(CantorParams(Fraction(1, k)))
+    kind = draw(st.sampled_from(("random", "end", "address")))
+    if kind == "random":
+        return nest, draw(st.fractions(0, 1, max_denominator=10 ** 9))
+    if kind == "end":
+        return nest, draw(st.sampled_from([0, 1, Fraction(0), Fraction(1)]))
+    m, eps = nest.params.m, nest.params.eps
+    x = draw(st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2),
+                              Fraction(1, 3)]))
+    for right in draw(st.lists(st.booleans(), max_size=45)):
+        x = 1 - m * (x + eps) if right else m * (x + eps)
+    return nest, x
+
+
+@settings(max_examples=300)
+@given(nest_points(), st.integers(0, 40))
+def test_exact_value_matches_the_object_path(point, n):
+    nest, x = point
+    got = tietze_family(nest).value(n, x)
+    want = reference_tietze_value(nest, n, x)
+    assert got == want and type(got) is type(want)
 
 
 def test_increment_equals_rule_difference(nest_family):

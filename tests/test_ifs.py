@@ -152,6 +152,18 @@ def test_negative_level_rejected(nest, query):
         getattr(nest, query)(-1, HALF)
 
 
+@pytest.mark.parametrize("theta", [Fraction(1, 3), 0.4])
+@pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(-1, 7), 2, 1.5,
+                               -0.25, float("nan"), float("inf")])
+@pytest.mark.parametrize("query", ["deepest_component", "contains"])
+def test_point_outside_domain_rejected(theta, x, query):
+    # the descent reads an exact x as p/q on integers and compares a float
+    # first, so that nan and the infinities are refused too
+    nest = cantor_nest(CantorParams(theta))
+    with pytest.raises(ParameterError, match="outside domain"):
+        getattr(nest, query)(3, x)
+
+
 def test_float_backend_nest():
     nest = cantor_nest(CantorParams(0.35))
     lv3 = nest.level(3)

@@ -1,5 +1,6 @@
 import bisect
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divergia import (CantorParams, ConstructionError, IntervalUnion,
-                      ParameterError, PiecewiseLinear, box_count,
-                      bump_from_sets, cantor_nest, hausdorff_distance,
-                      uniform_cantor)
-from divergia.funcs import _component_knots
-from divergia.scalars import TOL, meet
+                      ParameterError, box_count, bump_from_sets, cantor_nest,
+                      hausdorff_distance, uniform_cantor)
+from divergia.scalars import TOL, meet, parse_scalar
+
+from ramp_reference import reference_bump
 
 DOMAIN = (0, 1)
 
@@ -255,6 +256,43 @@ def test_json_round_trip_float():
     A = IntervalUnion((0.0, 1.0), [(0.125, 0.25)])
     B = IntervalUnion.from_json(A.to_json())
     assert B.components == A.components
+
+
+@pytest.mark.parametrize("components, canonical", [
+    ([["1/9", "2/9"], ["7/9", "8/9"]], True),
+    ([["0/1", "1/3"], ["2/3", "1/1"], ["5/6", "5/6"]], False),  # unsorted
+    ([["0/1", "1/3"], ["1/3", "1/2"]], False),  # touching: merged
+    ([["0.25", "1/2"]], False),  # a decimal string
+    ([[0, "1/2"]], False),  # an int end
+    ([["1/2", "1/-2"]], False),  # a negative denominator
+    # denominators whose lcm passes _MAX_BITS
+    ([[f"1/{2 ** 600 + 3}"] * 2, [f"1/{2 ** 600 + 1}"] * 2], False),
+    ([], True),
+])
+def test_from_json_tries_the_canonical_path_first(components, canonical):
+    # p/q ends that are already canonical are checked on integers at one
+    # denominator, and the set keeps that view; any other input goes to
+    # the constructor; either way the set is the constructor's
+    doc = {"domain": ["0/1", "1/1"], "components": components}
+    try:
+        want = IntervalUnion((Fraction(0), Fraction(1)),
+                             [(parse_scalar(a), parse_scalar(b))
+                              for a, b in components])
+    except ParameterError as err:
+        with pytest.raises(ParameterError, match=re.escape(str(err))):
+            IntervalUnion.from_json(doc)
+        return
+    got = IntervalUnion.from_json(doc)
+    assert_same_set(got, want)
+    assert ("_scaled" in vars(got)) is canonical
+
+
+def test_from_json_round_trips_a_deep_level():
+    level = cantor_nest(CantorParams(Fraction(1, 3))).level(10)
+    back = IntervalUnion.from_json(level.to_json())
+    # the document's domain ends are the Fractions "0/1" and "1/1"
+    assert typed(back)[1][2:] == typed(level)[1][2:] and back.exact
+    assert back._scaled == level._scaled
 
 
 # ----------------------------------------------------------------------
@@ -502,25 +540,6 @@ def test_walks_match_references(pair):
     for interior in (False, True):
         test = A.subset_of_relative_interior if interior else A.subset_of
         assert test(B) is reference_subset(A, B, interior)
-
-
-def reference_bump(outer, inner):
-    """The bump of ``inner`` in ``outer`` after meet, each inner component
-    grouped under the outer one found by a bisect over outer's starts."""
-    outer, inner = meet(outer, inner)
-    lo, hi = outer.domain
-    starts = [c for c, _ in outer.components]
-    groups = {}
-    for comp in inner.components:
-        j = bisect.bisect_right(starts, comp[0]) - 1
-        groups.setdefault(j, []).append(comp)
-    pts = [knot for j, inners in groups.items()
-           for knot in _component_knots(*outer.components[j], inners, lo, hi)]
-    if not pts or pts[0][0] > lo:
-        pts.insert(0, (lo, 0))
-    if pts[-1][0] < hi:
-        pts.append((hi, 0))
-    return PiecewiseLinear.from_knots(pts)
 
 
 def typed_knots(f):
