@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import __version__
 from .dimension import box_dimension, moran_dimension
@@ -53,6 +55,53 @@ def _backend(args) -> str:
         os.environ.get("DIVERGIA_BACKEND", "exact")
 
 
+#: one C call per run of scalars, with "\x00" between the items: an
+#: ASCII-escaped token never contains "\x00", starts with "[" or ends
+#: with "]", so the separators and inner-list boundaries can be rewritten
+_encode = json.JSONEncoder(separators=("\x00", ": ")).encode
+
+
+def _scalars(items) -> bool:
+    """Whether no item is a container, read from the items' types."""
+    return not any(issubclass(t, (list, tuple, dict))
+                   for t in set(map(type, items)))
+
+
+def _dumps(node, pad="") -> str:
+    """The text of ``json.dumps(node, indent=2)``.  Python walks only the
+    dicts and the lists whose items are containers; a list of scalars, or
+    of non-empty lists of scalars, is one ``_encode`` call.  A dict key
+    that is not a ``str`` raises ``TypeError``."""
+    inner = pad + "  "
+    sep = ",\n" + inner
+    if isinstance(node, dict):
+        if not node:
+            return "{}"
+        items = []
+        for key, value in node.items():
+            if not isinstance(key, str):
+                raise TypeError(
+                    f"keys must be str, not {type(key).__name__}")
+            items.append(f"{_encode(key)}: {_dumps(value, inner)}")
+        return "{\n" + inner + sep.join(items) + "\n" + pad + "}"
+    if not isinstance(node, (list, tuple)):
+        return _encode(node)
+    if not node:
+        return "[]"
+    if _scalars(node):
+        body = _encode(node)[1:-1].replace("\x00", sep)
+    elif all(issubclass(t, (list, tuple)) for t in set(map(type, node))) \
+            and all(node) and _scalars(chain.from_iterable(node)):
+        deeper = inner + "  "
+        rows = _encode(node)[2:-2].replace(
+            "]\x00[", "\n" + inner + "]" + sep + "[\n" + deeper)
+        body = "[\n" + deeper + rows.replace("\x00", ",\n" + deeper) + \
+            "\n" + inner + "]"
+    else:
+        body = sep.join(_dumps(item, inner) for item in node)
+    return "[\n" + inner + body + "\n" + pad + "]"
+
+
 def _emit(args, document, csv_rows=None, csv_header=None):
     """Write the JSON document, or under ``--format csv`` its table: the
     rows that ``csv_rows`` reads from the document, under ``csv_header``.
@@ -71,7 +120,7 @@ def _emit(args, document, csv_rows=None, csv_header=None):
         writer.writerows(csv_rows(document))
         text = buf.getvalue()
     else:
-        text = json.dumps(document, indent=2) + "\n"
+        text = _dumps(document) + "\n"
     if out:
         with open(out, "w") as fh:
             fh.write(text)
@@ -253,6 +302,8 @@ def cmd_qam_compare(args):
         raise ParameterError(
             f"--domain needs two comma-separated values, got {args.domain!r}")
     lo, hi = bounds
+    if not lo < hi:
+        raise ParameterError(f"--domain needs lo < hi, got {args.domain!r}")
     grid = [lo + (hi - lo) * k / 32 for k in range(33)]
     grid = [g for g in grid if F.in_domain(g) and G.in_domain(g)]
     verdict = comparability(F, G, grid, seed=args.seed)
@@ -369,9 +420,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: the parser of every ``main`` call in the process, built at the first;
+#: ``parse_args`` gives each call a fresh namespace
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except ParameterError as exc:

@@ -469,6 +469,10 @@ class FunctionFamily:
 
     def value(self, n: int, x):
         self._check(n, x)
+        return self._read(n, x)
+
+    def _read(self, n: int, x):
+        """``value(n, x)`` for a caller that has checked n and x."""
         if self._value is not None:
             return self._value(n, x)
         return self.rule(n).eval(x)

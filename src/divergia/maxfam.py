@@ -54,7 +54,8 @@ def sum_family(f: FunctionFamily, g: FunctionFamily) -> FunctionFamily:
         min_index=min_index, max_index=max_index,
         increment=lambda n: PiecewiseLinear.add(
             *meet(f.increment(n), g.increment(n))),
-        value=lambda n, x: f.value(n, x) + g.value(n, x),
+        # the sum's index range and domain hold the inputs' checks
+        value=lambda n, x: f._read(n, x) + g._read(n, x),
     )
 
 
@@ -140,8 +141,11 @@ def divergence_estimate(fam: FunctionFamily, M=10, N=30,
     if grid is None:
         grid = default_grid(fam.domain)
     fam._check(N, *grid)
-    values = tuple(fam.value(N, x) for x in grid)
-    flags = tuple(v > M for v in values)
+    values = tuple(fam._read(N, x) for x in grid)
+    # an exact value meets M as one Fraction, not one from_float per value
+    exact_M = Fraction(M)
+    flags = tuple(v > (exact_M if type(v) is Fraction else M)
+                  for v in values)
     return DivergenceEstimate(points=tuple(grid), values=values, flags=flags,
                               M=M, N=N, tag=fam.tag)
 

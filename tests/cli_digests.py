@@ -106,6 +106,12 @@ COMMANDS = [
     # command that has none
     "check --family liouville --theta 7 --N 3",
     "dim --moran 1/4,1/3 --format csv",
+    # the two largest documents: a deep float nest and a deep exact one
+    "cantor --theta 0.4 --backend float --levels 13",
+    "cantor --theta 1/3 --levels 11",
+    # exit 2: a domain with lo >= hi
+    "qam compare --first log --second power:1 --domain 1,1",
+    "qam compare --first log --second power:1 --domain 2,1",
 ]
 
 

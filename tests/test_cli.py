@@ -1,9 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from divergia import cli
 from divergia.cli import main
 
 
@@ -446,3 +453,95 @@ def test_number_past_float_range_is_a_parameter_error(capsys, argv):
     code, out, err = run(capsys, *argv.split())
     assert code == 2 and not out
     assert json.loads(err)["error"] == "parameter"
+
+
+@pytest.mark.parametrize("domain", ["1,1", "2,1"])
+def test_degenerate_domain_is_a_parameter_error(capsys, monkeypatch, domain):
+    # refused before the grid is read: one point, or a reversed interval,
+    # would make every tuple cross-check vacuous
+    monkeypatch.setattr(cli, "comparability", None)
+    code, out, err = run(capsys, "qam", "compare", "--first", "log",
+                         "--second", "power:1", "--domain", domain)
+    assert code == 2 and not out
+    assert json.loads(err) == {
+        "error": "parameter",
+        "message": f"--domain needs lo < hi, got {domain!r}"}
+
+
+# ----------------------------------------------------------------------
+# one parser per process
+# ----------------------------------------------------------------------
+
+def test_parser_reuse_keeps_no_flag(capsys):
+    argv = ["cantor", "--theta", "1/2", "--levels", "1"]
+    assert json.loads(run(capsys, *argv, "--uniform")[1])["uniform"] is True
+    assert json.loads(run(capsys, *argv)[1])["uniform"] is False
+
+
+def test_parser_reuse_reads_backend_env_at_call_time(capsys, monkeypatch):
+    argv = ["cantor", "--theta", "2/5", "--levels", "1"]
+    monkeypatch.setenv("DIVERGIA_BACKEND", "float")
+    assert json.loads(run(capsys, *argv)[1])["backend"] == "float"
+    monkeypatch.setenv("DIVERGIA_BACKEND", "exact")
+    assert json.loads(run(capsys, *argv)[1])["backend"] == "exact"
+
+
+def test_parser_reuse_after_usage_error(capsys):
+    # the bytes after an argparse exit are those of a fresh interpreter,
+    # where importing the module builds no parser
+    argv = ["cantor", "--theta", "0.4", "--backend", "float", "--levels", "3"]
+    with pytest.raises(SystemExit) as exc:
+        main(["cantor", "--levels", "x"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run(capsys, *argv)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    fresh = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; from divergia import cli; "
+         "assert not cli._parser.cache_info().currsize; "
+         f"sys.exit(cli.main({argv!r}))"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+
+
+# ----------------------------------------------------------------------
+# the indented JSON writer
+# ----------------------------------------------------------------------
+
+_TEXT = st.text(st.characters() | st.sampled_from(
+    ["\x00", '"', "\\", "[", "]", "\n", "\x1f", "\x7f", "é",
+     "\U0001f600"]))
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(),
+    st.integers(min_value=2 ** 64, max_value=2 ** 200),
+    st.integers(min_value=-2 ** 200, max_value=-2 ** 64),
+    st.floats(), st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]),
+    _TEXT)
+_TREES = st.recursive(_SCALARS, lambda kids: st.one_of(
+    st.lists(kids), st.lists(kids).map(tuple),
+    st.dictionaries(_TEXT, kids),
+    # the one-call shapes: lists of scalar lists, some of them empty
+    st.lists(st.lists(_SCALARS, min_size=1) | st.tuples(_SCALARS)),
+    st.lists(st.lists(_SCALARS))), max_leaves=30)
+
+
+@given(_TREES)
+@example([])
+@example({})
+@example([[], {}, [[]], ((),)])
+@example([[1, "]"], [], ["[", 2]])
+@example([["]\x00[", "\x00"], ("a",)])
+@example({'"\x00é': {"": [[1.5, -0.0], [math.nan]]}})
+@example([5e-324, 1e308, math.inf, -math.inf, math.nan, 2 ** 64, True, None])
+@example("\x00\U0001f600")
+def test_writer_matches_json_dumps(tree):
+    assert cli._dumps(tree) == json.dumps(tree, indent=2)
+
+
+@pytest.mark.parametrize("tree", [
+    {1: "a"}, {"a": [{None: 1}]}, [[1], {"b": {2.5: 0}}]])
+def test_writer_refuses_keys_that_are_not_str(tree):
+    with pytest.raises(TypeError):
+        cli._dumps(tree)

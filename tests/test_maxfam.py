@@ -143,6 +143,34 @@ def test_divergence_estimate_flags(tz):
     assert "approximates" in doc["note"]
 
 
+def test_divergence_estimate_checks_each_point_once(monkeypatch):
+    # the estimate checks its grid once; the sum's value and each summand
+    # read their values unchecked, and flags are exact comparisons with M
+    checked = []
+    check = FunctionFamily._check
+    monkeypatch.setattr(FunctionFamily, "_check", lambda self, n, *points:
+                        checked.extend(points) or check(self, n, *points))
+    fam = anydh_family(Fraction(1, 3))
+    grid = default_grid(fam.domain, points=40, q_max=6)
+    est = divergence_estimate(fam, M=2.25, N=6, grid=grid)
+    assert checked == grid
+    monkeypatch.setattr(FunctionFamily, "_check", check)
+    values = [fam.value(6, x) for x in grid]
+    assert [(type(v), v) for v in est.values] == \
+        [(type(v), v) for v in values]
+    assert est.flags == tuple(v > 2.25 for v in values)
+
+
+def test_divergence_estimate_flags_exact_values_against_float_M(tz):
+    # the values 11, 1/2, 11 and 11/7 meet each float M exactly, the last
+    # M within a rounding of 11/7
+    grid = [Fraction(1, 6), HALF, Fraction(5, 6), Fraction(1, 7)]
+    values = [tz.value(10, x) for x in grid]
+    for M in (5.0, 0.1, 10.999999999999998, 11.0, float(values[-1])):
+        est = divergence_estimate(tz, M=M, N=10, grid=grid)
+        assert est.flags == tuple(v > M for v in values)
+
+
 def test_divergence_estimate_validates(tz):
     with pytest.raises(ParameterError):
         divergence_estimate(tz, M=0)
