@@ -305,10 +305,17 @@ def cmd_qam_compare(args):
     if not lo < hi:
         raise ParameterError(f"--domain needs lo < hi, got {args.domain!r}")
     grid = [lo + (hi - lo) * k / 32 for k in range(33)]
-    grid = [g for g in grid if F.in_domain(g) and G.in_domain(g)]
+    for gen, name in ((F, args.first), (G, args.second)):
+        if not all(gen.in_domain(g) for g in grid):
+            raise ParameterError(f"--domain {args.domain!r} leaves the "
+                                 f"domain of {name!r}")
+    if len(set(grid)) < len(grid):
+        raise ParameterError(f"--domain {args.domain!r} does not give "
+                             f"{len(grid)} distinct grid points")
     verdict = comparability(F, G, grid, seed=args.seed)
     _emit(args, {
         "command": "qam compare", "first": args.first, "second": args.second,
+        "domain": [lo, hi], "seed": args.seed,
         "relation": verdict.relation,
         "mean_checks_agree": verdict.mean_checks_agree,
         "verdict": str(verdict),

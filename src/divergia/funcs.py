@@ -25,10 +25,11 @@ the pointwise ``tietze_family`` value interpolates.  On exact inputs it
 runs on integers: numerators over one common denominator, doubled so that
 a dip (a + b) >> 1 stays an integer and the values 0, 1/2 and 1 are 0, 1
 and 2.  ``bump_from_sets`` feeds it the scaled view of its nesting walk
-and keeps the sets' endpoint objects as knots; the exact Tietze value
-feeds it the integers of the nest descent and builds one Fraction per
-answer.  Float sets, float nests and views past ``_MAX_BITS`` run it on
-the objects.
+and keeps the sets' endpoint objects as knots; the Tietze value feeds it
+the integers of the nest descent, float nests included, and divides once
+per answer: a Fraction on an exact nest at an exact point, and otherwise
+the correctly rounded float.  Float sets and views past ``_MAX_BITS`` run
+it on the objects.
 
 ``PiecewiseLinear.eval`` and ``integral`` rank a Fraction among float knots
 by its float, and compare it exactly only with a knot equal to that float.
@@ -42,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import truediv
 from typing import Callable, Optional
 
 from .errors import ConstructionError, ParameterError, require_same_domain
@@ -528,7 +530,7 @@ def tietze_family(nest) -> FunctionFamily:
     intersection the n-th partial sum equals n + 1, and off D_N every
     partial sum stays strictly below N at interior points.
     """
-    lo, hi = domain = nest.params.domain
+    domain = nest.params.domain
     exact = nest.params.exact
 
     def delta(i):
@@ -540,26 +542,10 @@ def tietze_family(nest) -> FunctionFamily:
     def value(n, x):
         # bump i is 1 while x lies in a child of its level-i component;
         # at the level k where x leaves the nest all deeper bumps vanish.
-        # The descent decides that on integers, one level past n; an exact
-        # x on an exact nest is interpolated on them too
-        if exact and is_exact(x):
-            return exact_value(n, x)
-        k, (A, B), children = nest.deepest_component(n + 1, x)
-        if k > n:
-            return n + 1
-        try:
-            x0, y0, x1, y1 = _segment(
-                _component_knots(A, B, children, lo, hi), x)
-        except ConstructionError as err:
-            # rounded children that floats cannot keep apart
-            raise nest._unresolved(k + 1) from err
-        # interpolated even at a knot, so that the value takes the
-        # backend of x (a knot value 1 at a domain endpoint is int)
-        return k + _interpolate(x, x0, x1, y0, y1)
-
-    def exact_value(n, x):
-        # the rule on the descent's integers, doubled over 2 T: the value
-        # k + y/2 at x, with y interpolated, is one Fraction
+        # The descent decides that on integers, one level past n, and the
+        # rule runs on them, doubled over 2 T: the value k + y/2 at x,
+        # with y interpolated, is one quotient of integers, a Fraction on
+        # an exact nest at an exact x and otherwise rounded once
         k, A, W, X, S = nest._descent(n + 1, x)
         if k > n:
             return n + 1
@@ -570,7 +556,8 @@ def tietze_family(nest) -> FunctionFamily:
             A * f, (A + W) * f, [(c << 1, (c + w) << 1) for c in starts],
             0, T << 1, _integer_dip, 2), X)
         h = x1 - x0
-        return Fraction((2 * k + y0) * h + (y1 - y0) * (X - x0), 2 * h)
+        to = Fraction if exact and is_exact(x) else truediv
+        return to((2 * k + y0) * h + (y1 - y0) * (X - x0), 2 * h)
 
     def step_bound(n):
         # bump n is <= 1 and supported on level n

@@ -101,7 +101,7 @@ class CantorNest:
     descent: it returns the exit component, x and their denominator as
     integers, and ``_split`` gives the component's children by the child
     rule.  ``deepest_component`` converts only that component and its
-    children; the exact Tietze value reads the integers themselves.
+    children; the Tietze value reads the integers themselves.
     Membership is decided on these integers, never on rounded endpoints.
     """
 
@@ -161,14 +161,10 @@ class CantorNest:
         comps, end = self._ends(starts, W, S), -1.0
         for a, b in comps:
             if a <= end + TOL:
-                raise self._unresolved(n)
+                raise ParameterError(f"theta={self.params.theta}: level {n} "
+                                     f"of the nest is below float resolution")
             end = b
         return IntervalUnion._built(domain, comps, False)
-
-    def _unresolved(self, n):
-        """The error of a level that floats cannot resolve."""
-        return ParameterError(f"theta={self.params.theta}: level {n} of the "
-                              f"nest is below float resolution")
 
     def measure_level(self, n: int):
         """Exact level measure: (2m)^n."""

@@ -1,14 +1,18 @@
-"""Object references for the exact function kernels.
+"""Object references for the exact function kernels and the nest descent.
 
-The library runs the ramp rule of ``divergia.funcs`` on integer numerators
-where it can; these references run the same rule on the endpoint objects,
-written out as a list, so that the integer paths are compared with an
-independent copy of the rule rather than with themselves.
+The library runs the ramp rule of ``divergia.funcs`` and the descent of
+``divergia.ifs`` on integer numerators where it can; these references run
+the same rule on the endpoint objects, written out as a list, and the
+descent as a walk through composed Fraction similarities, so that the
+integer paths are compared with an independent copy of each rule rather
+than with themselves.  A float nest is the exact nest of its dyadic m and
+eps, so its references run on their exact values and round once.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 from fractions import Fraction
 
 from divergia import ConstructionError, PiecewiseLinear
@@ -96,3 +100,60 @@ def reference_tietze_value(nest, n, x):
     j = next(j for j in range(1, len(knots)) if x <= knots[j][0])
     (x0, y0), (x1, y1) = knots[j - 1], knots[j]
     return k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+
+
+def reference_maps(nest):
+    """The two maps x -> m*(x + eps) and x -> 1 - m*(x + eps) of the exact
+    values of m and eps, as pairs (ratio, offset)."""
+    m, eps = Fraction(nest.params.m), Fraction(nest.params.eps)
+    return (m, m * eps), (-m, 1 - m * eps)
+
+
+@functools.cache
+def reference_children(nest, ratio, offset):
+    """Children of the image of [0, 1] under x -> ratio*x + offset, kept
+    for the walks of the next points."""
+    out = []
+    for r, o in reference_maps(nest):
+        c, t = ratio * r, ratio * o + offset
+        a, b = (t, c + t) if c >= 0 else (c + t, t)
+        out.append(((c, t), (a, b)))
+    out.sort(key=lambda item: item[1][0])
+    return tuple(out)
+
+
+def reference_deepest_component(nest, n, x):
+    """The descent of the nest's exact values as a walk through the
+    composed Fraction similarities, one pair of children per level, from
+    the int domain (0, 1)."""
+    ratio, offset = 1, 0
+    interval = (0, 1)
+    children = reference_children(nest, ratio, offset)
+    for k in range(n):
+        for (c, t), (a, b) in children:
+            if a <= x <= b:
+                ratio, offset, interval = c, t, (a, b)
+                break
+        else:
+            return k, interval, [iv for _, iv in children]
+        children = reference_children(nest, ratio, offset)
+    return n, interval, [iv for _, iv in children]
+
+
+#: the knots of an exit component, kept for the next points that leave there
+_exit_knots = functools.cache(reference_component_knots)
+
+
+def reference_rounded_value(nest, n, x):
+    """value(n, x) of the nest's Tietze family for a float nest or a float
+    x: the similarity walk at the exact value of x, the reference rule on
+    the exit component over the exact domain, and the exact value rounded
+    once to a float; n + 1 when x stays in the nest past level n."""
+    x = Fraction(x)
+    k, (A, B), children = reference_deepest_component(nest, n + 1, x)
+    if k > n:
+        return n + 1
+    knots = _exit_knots(A, B, tuple(children), 0, 1)
+    j = next(j for j in range(1, len(knots)) if x <= knots[j][0])
+    (x0, y0), (x1, y1) = knots[j - 1], knots[j]
+    return float(k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0)))

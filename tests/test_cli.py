@@ -252,10 +252,12 @@ def test_qam_maximal(capsys):
 
 def test_qam_compare(capsys):
     code, out, _ = run(capsys, "qam", "compare", "--first", "power:1",
-                       "--second", "power:2")
+                       "--second", "power:2", "--seed", "5")
     assert code == 0
     doc = json.loads(out)
     assert doc["relation"] == "<="
+    # the grid's interval and the tuples' seed are echoed
+    assert doc["domain"] == [1.0, 2.0] and doc["seed"] == 5
 
 
 def test_parameter_error_exit_code(capsys):
@@ -455,17 +457,24 @@ def test_number_past_float_range_is_a_parameter_error(capsys, argv):
     assert json.loads(err)["error"] == "parameter"
 
 
-@pytest.mark.parametrize("domain", ["1,1", "2,1"])
-def test_degenerate_domain_is_a_parameter_error(capsys, monkeypatch, domain):
-    # refused before the grid is read: one point, or a reversed interval,
-    # would make every tuple cross-check vacuous
+@pytest.mark.parametrize("domain, message", [
+    ("1,1", "--domain needs lo < hi, got '1,1'"),
+    ("2,1", "--domain needs lo < hi, got '2,1'"),
+    ("-1,2", "--domain '-1,2' leaves the domain of 'log'"),
+    # lo < hi, but the 33 grid points round to two floats
+    ("1,1.0000000000000002", "--domain '1,1.0000000000000002' does not "
+                             "give 33 distinct grid points"),
+], ids=["1,1", "2,1", "-1,2", "1,1.0000000000000002"])
+def test_degenerate_domain_is_a_parameter_error(capsys, monkeypatch, domain,
+                                                message):
+    # refused before the grid is read: one point, a reversed interval, or
+    # points dropped or repeated would leave the tuple cross-checks vacuous
+    # or resting on fewer points than the grid shows
     monkeypatch.setattr(cli, "comparability", None)
     code, out, err = run(capsys, "qam", "compare", "--first", "log",
-                         "--second", "power:1", "--domain", domain)
+                         "--second", "power:1", f"--domain={domain}")
     assert code == 2 and not out
-    assert json.loads(err) == {
-        "error": "parameter",
-        "message": f"--domain needs lo < hi, got {domain!r}"}
+    assert json.loads(err) == {"error": "parameter", "message": message}
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import bisect
+import functools
 import gc
 import random
 import sys
@@ -21,7 +22,8 @@ from divergia import (CantorNest, CantorParams, ConstructionError,
                       sum_family, tietze_family)
 from divergia.scalars import TOL
 
-from ramp_reference import reference_bump, reference_tietze_value
+from ramp_reference import (reference_bump, reference_maps,
+                            reference_rounded_value, reference_tietze_value)
 
 DOMAIN = (0, 1)
 
@@ -559,10 +561,12 @@ def test_partial_sums_values_on_and_off_nest(nest_family):
     assert fam.rule(6).eval(Fraction(1, 2)) == Fraction(1, 2)
 
 
-@pytest.mark.parametrize("theta, tol", [
-    (Fraction(1, 2), 0), (Fraction(1, 3), 0), (0.4, 1e-14)],
-    ids=["half", "third", "float"])
-def test_descent_value_matches_materialized(theta, tol):
+@pytest.mark.parametrize("theta", [Fraction(1, 2), Fraction(1, 3), 0.4],
+                         ids=["half", "third", "float"])
+def test_descent_value_matches_materialized(theta):
+    # an exact nest's value agrees with its materialized rule; a float
+    # nest's rule runs on rounded ends, so its value is compared with the
+    # exact value of the dyadic nest rounded once instead
     nest = cantor_nest(CantorParams(theta))
     fam = tietze_family(nest)
     lo, hi = nest.params.domain
@@ -578,17 +582,19 @@ def test_descent_value_matches_materialized(theta, tol):
         xs = base + list(f.xs) + [
             e for comp in nest.level(n + 1).components for e in comp]
         for x in xs:
-            if tol:
-                assert fam.value(n, x) == pytest.approx(f.eval(x), abs=tol)
-            else:
+            if nest.params.exact:
                 assert fam.value(n, x) == f.eval(x)
+            else:
+                got = fam.value(n, x)
+                want = reference_rounded_value(nest, n, x)
+                assert got == want and type(got) is type(want)
 
 
 @pytest.mark.parametrize("theta", [0.3, 0.4, 0.45, 0.7])
 def test_float_descent_walks_the_levels(theta):
     # the float descent and the levels compose the same maps, so every
-    # component the descent meets is a component of its level and the
-    # pointwise value matches the materialized rule to rounding
+    # component the descent meets is a component of its level, and the
+    # pointwise value is the exact value of the dyadic nest rounded once
     nest = cantor_nest(CantorParams(theta))
     fam = tietze_family(nest)
     grid = default_grid((0.0, 1.0))
@@ -599,7 +605,8 @@ def test_float_descent_walks_the_levels(theta):
             k, component, children = nest.deepest_component(n, x)
             assert component in levels[k]
             assert all(c in levels[k + 1] for c in children)
-            assert fam.value(n, x) == pytest.approx(f.eval(x), abs=1e-14)
+            got, want = fam.value(n, x), reference_rounded_value(nest, n, x)
+            assert got == want and type(got) is type(want)
 
 
 def test_value_is_one_descent(monkeypatch):
@@ -632,15 +639,16 @@ def test_float_value_on_the_exact_fixed_point(theta):
         assert fam.value(n, x) == n + 1
 
 
-def test_float_value_below_resolution_raises():
-    # the float fixed point leaves the dyadic nest at level 16, where the
-    # rounded children of its component cannot be kept apart
+def test_float_fixed_point_leaves_the_nest_at_16():
+    # the rounded fixed point leaves the dyadic nest at level 16, where
+    # its value is read on the descent's integers like any other point's
     nest = cantor_nest(CantorParams(0.3))
     fam = tietze_family(nest)
     x = nest.fixed_point_left()
     assert [fam.value(n, x) for n in range(16)] == list(range(1, 17))
-    with pytest.raises(ParameterError, match="theta=0.3: level 17 "):
-        fam.value(20, x)
+    stall = reference_rounded_value(nest, 16, x)
+    assert stall == 16.643794928067592
+    assert all(fam.value(n, x) == stall for n in range(16, 61))
 
 
 @st.composite
@@ -669,6 +677,47 @@ def test_exact_value_matches_the_object_path(point, n):
     nest, x = point
     got = tietze_family(nest).value(n, x)
     want = reference_tietze_value(nest, n, x)
+    assert got == want and type(got) is type(want)
+
+
+@functools.cache
+def float_nest(theta):
+    """A float nest, its Tietze family, and the default grid points and
+    the rounded ends of levels 1-8."""
+    nest = cantor_nest(CantorParams(theta))
+    marks = default_grid((0.0, 1.0)) + [
+        e for n in range(1, 9) for comp in nest.level(n).components
+        for e in comp]
+    return nest, tietze_family(nest), marks
+
+
+@st.composite
+def float_nest_points(draw):
+    """(nest, family, x): a float nest and, as a float or as its exact
+    value, a grid point or level end, the image of 0, 1/2 or 1 under a
+    random address of up to 45 maps of the exact dyadic nest, or any
+    float in [0, 1]."""
+    nest, fam, marks = float_nest(draw(st.sampled_from(
+        (0.3, 0.35, 0.4, 0.45, 0.7))))
+    kind = draw(st.sampled_from(("mark", "address", "float")))
+    if kind == "float":
+        return nest, fam, draw(st.floats(0, 1))
+    if kind == "mark":
+        x = draw(st.sampled_from(marks))
+    else:
+        x = draw(st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]))
+        for bit in draw(st.lists(st.integers(0, 1), max_size=45)):
+            r, o = reference_maps(nest)[bit]
+            x = r * x + o
+    return nest, fam, draw(st.sampled_from((float, Fraction)))(x)
+
+
+@settings(max_examples=300)
+@given(float_nest_points(), st.integers(0, 40))
+def test_float_value_is_the_exact_value_rounded_once(point, n):
+    nest, fam, x = point
+    got = fam.value(n, x)
+    want = reference_rounded_value(nest, n, x)
     assert got == want and type(got) is type(want)
 
 

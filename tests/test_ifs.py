@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from divergia import (CantorParams, ParameterError, cantor_nest,
                       hausdorff_distance, uniform_cantor)
 from divergia.scalars import TOL
+from ramp_reference import reference_deepest_component, reference_maps
 
 HALF = Fraction(1, 2)
 
@@ -222,42 +223,6 @@ def test_uniform_cantor_inside_nest_with_shrinking_gap():
 # integer descent against the similarity walk
 # ----------------------------------------------------------------------
 
-def reference_maps(nest):
-    """The two maps x -> m*(x + eps) and x -> 1 - m*(x + eps), as pairs
-    (ratio, offset)."""
-    m, eps = nest.params.m, nest.params.eps
-    return (m, m * eps), (-m, 1 - m * eps)
-
-
-def reference_children(nest, ratio, offset):
-    """Children of the image of [0, 1] under x -> ratio*x + offset."""
-    out = []
-    for r, o in reference_maps(nest):
-        c, t = ratio * r, ratio * o + offset
-        a, b = (t, c + t) if c >= 0 else (c + t, t)
-        out.append(((c, t), (a, b)))
-    out.sort(key=lambda item: item[1][0])
-    return out
-
-
-def reference_deepest_component(nest, n, x):
-    """The descent of an exact nest as a walk through the composed
-    Fraction similarities, one pair of children per level."""
-    lo, hi = nest.params.domain
-    ratio, offset = 1, 0
-    interval = (lo, hi)
-    children = reference_children(nest, ratio, offset)
-    for k in range(n):
-        for (c, t), (a, b) in children:
-            if a <= x <= b:
-                ratio, offset, interval = c, t, (a, b)
-                break
-        else:
-            return k, interval, [iv for _, iv in children]
-        children = reference_children(nest, ratio, offset)
-    return n, interval, [iv for _, iv in children]
-
-
 def same(u, v):
     """Equal values of equal types, through tuples and lists."""
     if isinstance(u, (tuple, list)):
@@ -360,32 +325,20 @@ def test_float_levels_match_composed_maps(theta):
     for n in range(9):
         got = nest.level(n).components
         want = sorted_images(composed_maps(nest, n), 0, 1)
-        assert len(got) == len(want)
-        for comp, ref in zip(got, want):
-            assert comp == pytest.approx(ref, abs=1e-12)
+        # each endpoint of the exact dyadic nest, rounded once
+        assert got == tuple((float(u), float(v)) for u, v in want)
 
 
 # ----------------------------------------------------------------------
 # float nests: the exact dyadic nest, each endpoint rounded once
 # ----------------------------------------------------------------------
 
-def dyadic_maps(p, n):
-    """The 2^n composed maps of level n of the nest whose m and eps are the
-    exact values of the float parameters, as Fraction pairs."""
-    m, eps = Fraction(p.m), Fraction(p.eps)
-    maps = [(1, 0)]
-    for _ in range(n):
-        maps = [(ratio * r, ratio * o + offset) for ratio, offset in maps
-                for r, o in ((m, m * eps), (-m, 1 - m * eps))]
-    return maps
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=0.3, max_value=0.9), st.integers(0, 10))
 def test_float_levels_are_dyadic_levels_rounded_once(theta, n):
     p = CantorParams(theta)
     assume(not p.exact)
-    maps = dyadic_maps(p, n)
+    maps = composed_maps(cantor_nest(p), n)
     m = Fraction(p.m)
     a = m * Fraction(p.eps) / (1 - m)
     for build, ends in [(cantor_nest(p).level, (0, 1)),
