@@ -25,11 +25,11 @@ the pointwise ``tietze_family`` value interpolates.  On exact inputs it
 runs on integers: numerators over one common denominator, doubled so that
 a dip (a + b) >> 1 stays an integer and the values 0, 1/2 and 1 are 0, 1
 and 2.  ``bump_from_sets`` feeds it the scaled view of its nesting walk
-and keeps the sets' endpoint objects as knots; the Tietze value feeds it
-the integers of the nest descent, float nests included, and divides once
-per answer: a Fraction on an exact nest at an exact point, and otherwise
-the correctly rounded float.  Float sets and views past ``_MAX_BITS`` run
-it on the objects.
+and keeps the sets' endpoint objects as knots; the Tietze value passes
+it the nest descent's doubled integers as they come, float nests
+included, and divides once per answer: a Fraction on an exact nest at an
+exact point, and otherwise the correctly rounded float.  Float sets and
+views past ``_MAX_BITS`` run it on the objects.
 
 ``PiecewiseLinear.eval`` and ``integral`` rank a Fraction among float knots
 by its float, and compare it exactly only with a knot equal to that float.
@@ -542,19 +542,16 @@ def tietze_family(nest) -> FunctionFamily:
     def value(n, x):
         # bump i is 1 while x lies in a child of its level-i component;
         # at the level k where x leaves the nest all deeper bumps vanish.
-        # The descent decides that on integers, one level past n, and the
-        # rule runs on them, doubled over 2 T: the value k + y/2 at x,
-        # with y interpolated, is one quotient of integers, a Fraction on
-        # an exact nest at an exact x and otherwise rounded once
-        k, A, W, X, S = nest._descent(n + 1, x)
+        # The descent decides that on integers, one level past n, and
+        # hands the rule its exit component, children and x doubled over
+        # D: the value k + y/2 at x, with y interpolated, is one quotient
+        # of integers, a Fraction on an exact nest at an exact x and
+        # otherwise rounded once
+        k, A, B, children, X, D = nest._descent(n + 1, x)
         if k > n:
             return n + 1
-        starts, w, T = nest._split(A, W, S)
-        f = (T // S) << 1
-        X *= f
         x0, y0, x1, y1 = _segment(_component_knots(
-            A * f, (A + W) * f, [(c << 1, (c + w) << 1) for c in starts],
-            0, T << 1, _integer_dip, 2), X)
+            A, B, children, 0, D, _integer_dip, 2), X)
         h = x1 - x0
         to = Fraction if exact and is_exact(x) else truediv
         return to((2 * k + y0) * h + (y1 - y0) * (X - x0), 2 * h)

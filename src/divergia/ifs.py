@@ -18,7 +18,6 @@ import sys
 import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import truediv
 
 from .errors import ParameterError
 from .intervals import IntervalUnion
@@ -84,11 +83,11 @@ class CantorNest:
     (A << b) + (W/d) M e and (A << b) + (W << b) - W M - (W/d) M e over
     S 2^b, with width W M.  Levels count in units of 1/S_j, S_j = d 2^(bj),
     so the level-j width is W = d M^j, and the nest keeps the left ends
-    and the width of its deepest level.  ``_ends`` is the one conversion
-    of left ends at a common width: exact rationals when theta = 1/k, and
-    otherwise each endpoint rounded once to the nearest float.  ``_image``
-    turns them into a set, raising ParameterError at the first level whose
-    float image would merge two components.
+    and the width of its deepest level.  ``_image`` turns left ends at a
+    common width into a set: exact rationals when theta = 1/k, and
+    otherwise each endpoint rounded once to the nearest float, raising
+    ParameterError at the first level whose float image would merge two
+    components.
 
     Local queries (the deepest component of a level up to n containing a
     point, with its two children) descend the address of the point
@@ -98,10 +97,10 @@ class CantorNest:
     child or (X << b) - F in the right one, over D M, whichever lies in
     [0, D M], where E and F are the child offsets at this denominator; if
     neither does, x leaves the nest there.  ``_descent`` is that one
-    descent: it returns the exit component, x and their denominator as
-    integers, and ``_split`` gives the component's children by the child
-    rule.  ``deepest_component`` converts only that component and its
-    children; the Tietze value reads the integers themselves.
+    descent: it returns the exit component, its two children by the child
+    rule and x as integers over one denominator, doubled so that the
+    midpoint of any two of them is an integer, which is the form the
+    integer ramp rule of ``funcs._component_knots`` takes.
     Membership is decided on these integers, never on rounded endpoints.
     """
 
@@ -141,24 +140,18 @@ class CantorNest:
             extend((A + a, A + c))
         return out, W * M
 
-    def _ends(self, starts, W, S):
-        """The components [A/S, (A + W)/S] of the integer left ends A, each
-        end converted once: a Fraction on an exact nest, else the nearest
-        float by int true division (correct at any size, where ``float(A)``
-        overflows past 1024 bits)."""
-        to = Fraction if self.params.exact else truediv
-        return [(to(A, S), to(A + W, S)) for A in starts]
-
     def _image(self, n, starts, W, S):
         """The level-n set of the components [A/S, (A + W)/S] of the sorted
-        integer left ends A, raising ParameterError on a float nest where
-        a start falls within TOL of the end before it, which the float
-        backend would merge."""
+        integer left ends A.  On a float nest each end is converted once,
+        to the nearest float by int true division (correct at any size,
+        where ``float(A)`` overflows past 1024 bits), raising
+        ParameterError where a start falls within TOL of the end before
+        it, which the float backend would merge."""
         domain = self.params.domain
         if self.params.exact:
             return IntervalUnion._canonical(
                 domain, [(A, A + W) for A in starts], S)
-        comps, end = self._ends(starts, W, S), -1.0
+        comps, end = [(A / S, (A + W) / S) for A in starts], -1.0
         for a, b in comps:
             if a <= end + TOL:
                 raise ParameterError(f"theta={self.params.theta}: level {n} "
@@ -177,20 +170,12 @@ class CantorNest:
         m = self.params.m
         return m * self.params.eps / (1 - m)
 
-    def deepest_component(self, n: int, x):
-        """Deepest level k <= n whose component contains x, as (k, component,
-        children), where children are the component's two components at
-        level k + 1: the integer descent, converted."""
-        k, A, W, _, S = self._descent(n, x)
-        children = self._ends(*self._split(A, W, S))
-        if k == 0:
-            return 0, self.params.domain, children
-        return k, self._ends([A], W, S)[0], children
-
     def _descent(self, n: int, x):
         """The one descent of the address of x through at most n levels, on
-        integers: (k, A, W, X, S) for the deepest level k <= n whose
-        component [A, A + W] over S contains x, where x is X over S."""
+        integers: (k, A, B, children, X, D) for the deepest level k <= n
+        whose component [A, B] over D contains x, where children are the
+        component's two components (a, b) at level k + 1 and x is X over
+        D, every numerator even."""
         if n < 0:
             raise ParameterError("level index must be >= 0")
         # the domain is [0, 1], so x = p/q lies in it when 0 <= p <= q; a
@@ -218,16 +203,15 @@ class CantorNest:
             X, D, E, G = Y, W, E * M, G * M
         else:
             j = n
-        # x sits at X in the level-j component, over D0 2^(bj)
+        # x sits at X in the level-j component [A, A + D] over
+        # S = D0 2^(bj), and the children are over S 2^b: everything is
+        # read over 2 S 2^b
         X0 <<= b * j
-        return j, X0 - X, D, X0, D0 << (b * j)
-
-    def _split(self, A, W, S):
-        """(starts, w, T): the two children of the component [A, A + W]
-        over S, by the one child rule, as their left ends and width over
-        their denominator T = S 2^b."""
-        starts, w = self._children([A], W)
-        return starts, w, S << self._b
+        A, s = X0 - X, b + 1
+        starts, w = self._children([A], D)
+        return (j, A << s, (A + D) << s,
+                [(c << 1, (c + w) << 1) for c in starts],
+                X0 << s, D0 << (b * j + s))
 
     def contains(self, n: int, x) -> bool:
         return self._descent(n, x)[0] == n

@@ -93,6 +93,10 @@ def _check_threshold(M):
 def default_grid(domain, points: int = 1000, q_max: int = 20):
     """Equispaced points plus all reduced rationals p/q with q <= q_max,
     mapped affinely onto the domain."""
+    if points < 1:
+        raise ParameterError(f"points must be >= 1, got {points}")
+    if q_max < 0:
+        raise ParameterError(f"q_max must be >= 0, got {q_max}")
     lo, hi = domain
     # each t in [0, 1] as its numerator over L, sorted as integers
     L = lcm(points, *range(1, q_max + 1))

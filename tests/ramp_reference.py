@@ -7,6 +7,8 @@ descent as a walk through composed Fraction similarities, so that the
 integer paths are compared with an independent copy of each rule rather
 than with themselves.  A float nest is the exact nest of its dyadic m and
 eps, so its references run on their exact values and round once.
+``deepest_component`` converts the library's descent into the components
+the tests compare with the levels and with these walks.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import bisect
 import functools
 from fractions import Fraction
+from operator import truediv
 
 from divergia import ConstructionError, PiecewiseLinear
 from divergia.scalars import TOL, is_exact, meet
@@ -88,20 +91,6 @@ def reference_bump(outer, inner):
     return PiecewiseLinear.from_knots(pts)
 
 
-def reference_tietze_value(nest, n, x):
-    """value(n, x) of the nest's Tietze family for an exact x, on the
-    objects: the converted exit component of the descent, the reference
-    rule on it, and the interpolation formula."""
-    k, (A, B), children = nest.deepest_component(n + 1, x)
-    if k > n:
-        return n + 1
-    lo, hi = nest.params.domain
-    knots = reference_component_knots(A, B, children, lo, hi)
-    j = next(j for j in range(1, len(knots)) if x <= knots[j][0])
-    (x0, y0), (x1, y1) = knots[j - 1], knots[j]
-    return k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))
-
-
 def reference_maps(nest):
     """The two maps x -> m*(x + eps) and x -> 1 - m*(x + eps) of the exact
     values of m and eps, as pairs (ratio, offset)."""
@@ -144,16 +133,38 @@ def reference_deepest_component(nest, n, x):
 _exit_knots = functools.cache(reference_component_knots)
 
 
-def reference_rounded_value(nest, n, x):
-    """value(n, x) of the nest's Tietze family for a float nest or a float
-    x: the similarity walk at the exact value of x, the reference rule on
-    the exit component over the exact domain, and the exact value rounded
-    once to a float; n + 1 when x stays in the nest past level n."""
-    x = Fraction(x)
+def reference_tietze_value(nest, n, x):
+    """value(n, x) of the Tietze family of the nest's exact values for an
+    exact x: the similarity walk, the reference rule on the exit component
+    over the exact domain, and the interpolation formula; the int n + 1
+    when x stays in the nest past level n."""
     k, (A, B), children = reference_deepest_component(nest, n + 1, x)
     if k > n:
         return n + 1
     knots = _exit_knots(A, B, tuple(children), 0, 1)
     j = next(j for j in range(1, len(knots)) if x <= knots[j][0])
     (x0, y0), (x1, y1) = knots[j - 1], knots[j]
-    return float(k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0)))
+    return k + (y0 + (y1 - y0) * (x - x0) / (x1 - x0))
+
+
+def reference_rounded_value(nest, n, x):
+    """value(n, x) of the nest's Tietze family for a float nest or a float
+    x: the exact value at the exact value of x, rounded once to a float;
+    n + 1 when x stays in the nest past level n."""
+    value = reference_tietze_value(nest, n, Fraction(x))
+    return value if type(value) is int else float(value)
+
+
+def deepest_component(nest, n, x):
+    """The library's descent of x through at most n levels as (k,
+    component, children), each end of its integers over their one
+    denominator D converted once: ``Fraction(A, D)`` on an exact nest and
+    the correctly rounded ``A / D`` on a float nest, as the levels are
+    converted.  The level-0 component is the domain, in its own
+    objects."""
+    k, A, B, children, _, D = nest._descent(n, x)
+    to = Fraction if nest.params.exact else truediv
+    children = [(to(a, D), to(b, D)) for a, b in children]
+    if k == 0:
+        return 0, nest.params.domain, children
+    return k, (to(A, D), to(B, D)), children

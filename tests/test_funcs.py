@@ -22,8 +22,9 @@ from divergia import (CantorNest, CantorParams, ConstructionError,
                       sum_family, tietze_family)
 from divergia.scalars import TOL
 
-from ramp_reference import (reference_bump, reference_maps,
-                            reference_rounded_value, reference_tietze_value)
+from ramp_reference import (deepest_component, reference_bump,
+                            reference_maps, reference_rounded_value,
+                            reference_tietze_value)
 
 DOMAIN = (0, 1)
 
@@ -602,7 +603,7 @@ def test_float_descent_walks_the_levels(theta):
     for n in range(9):
         f = fam.rule(n)
         for x in grid + list(f.xs):
-            k, component, children = nest.deepest_component(n, x)
+            k, component, children = deepest_component(nest, n, x)
             assert component in levels[k]
             assert all(c in levels[k + 1] for c in children)
             got, want = fam.value(n, x), reference_rounded_value(nest, n, x)

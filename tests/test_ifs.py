@@ -6,10 +6,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from divergia import (CantorParams, ParameterError, cantor_nest,
+from divergia import (CantorNest, CantorParams, ParameterError, cantor_nest,
                       hausdorff_distance, uniform_cantor)
 from divergia.scalars import TOL
-from ramp_reference import reference_deepest_component, reference_maps
+from ramp_reference import (deepest_component, reference_deepest_component,
+                            reference_maps)
 
 HALF = Fraction(1, 2)
 
@@ -119,7 +120,7 @@ def test_descent_matches_materialized_membership(nest):
 def test_descent_children_match_next_level(nest):
     x = Fraction(1, 6)
     for n in range(6):
-        k, (a, b), children = nest.deepest_component(n, x)
+        k, (a, b), children = deepest_component(nest, n, x)
         assert k == n and nest.level(n).contains_point(x)
         nxt = nest.level(n + 1)
         for c in children:
@@ -139,7 +140,7 @@ def test_deepest_component_matches_materialized_levels(nest):
                                    for _ in range(40)]
     for n in range(8):
         for x in xs:
-            k, (a, b), children = nest.deepest_component(n, x)
+            k, (a, b), children = deepest_component(nest, n, x)
             assert k == max(i for i in range(n + 1)
                             if nest.level(i).contains_point(x))
             assert (a, b) in nest.level(k).components and a <= x <= b
@@ -147,22 +148,39 @@ def test_deepest_component_matches_materialized_levels(nest):
                                 if a <= c[0] and c[1] <= b]
 
 
-@pytest.mark.parametrize("query", ["deepest_component", "contains"])
+def test_descent_integers_are_ramp_ready(nest):
+    # the exit component, its children and x are even numerators over one
+    # denominator, so every midpoint the ramp rule takes is an integer
+    for n in range(8):
+        for x in (0, 1, Fraction(1, 6), HALF, Fraction(3, 7)):
+            k, A, B, children, X, D = nest._descent(n, x)
+            (a, b), (c, e) = children
+            assert all(v % 2 == 0 for v in (A, B, a, b, c, e, X, D))
+            assert 0 <= A < a < b < c < e < B <= D and A <= X <= B
+            assert Fraction(X, D) == x
+
+
+# the descent, read through the tests' conversion, and membership
+QUERIES = {"deepest_component": deepest_component,
+           "contains": CantorNest.contains}
+
+
+@pytest.mark.parametrize("query", QUERIES)
 def test_negative_level_rejected(nest, query):
     with pytest.raises(ParameterError, match="level index must be >= 0"):
-        getattr(nest, query)(-1, HALF)
+        QUERIES[query](nest, -1, HALF)
 
 
 @pytest.mark.parametrize("theta", [Fraction(1, 3), 0.4])
 @pytest.mark.parametrize("x", [Fraction(3, 2), Fraction(-1, 7), 2, 1.5,
                                -0.25, float("nan"), float("inf")])
-@pytest.mark.parametrize("query", ["deepest_component", "contains"])
+@pytest.mark.parametrize("query", QUERIES)
 def test_point_outside_domain_rejected(theta, x, query):
     # the descent reads an exact x as p/q on integers and compares a float
     # first, so that nan and the infinities are refused too
     nest = cantor_nest(CantorParams(theta))
     with pytest.raises(ParameterError, match="outside domain"):
-        getattr(nest, query)(3, x)
+        QUERIES[query](nest, 3, x)
 
 
 def test_float_backend_nest():
@@ -276,7 +294,7 @@ def test_descent_matches_similarity_walk(data):
     x = data.draw(nest_points(nest, marks))
     n = data.draw(st.integers(min_value=0, max_value=60))
     want = reference_deepest_component(nest, n, x)
-    assert same(nest.deepest_component(n, x), want)
+    assert same(deepest_component(nest, n, x), want)
     assert nest.contains(n, x) is (want[0] == n)
 
 

@@ -327,3 +327,15 @@ def test_default_grid_matches_sorted_fractions(domain, points, q_max):
     got = default_grid(domain, points=points, q_max=q_max)
     want = reference_grid(domain, points, q_max)
     assert [(x, type(x)) for x in got] == [(x, type(x)) for x in want]
+
+
+@pytest.mark.parametrize("points, q_max, match", [
+    (0, 20, "points must be >= 1, got 0"),
+    (-2, 2, "points must be >= 1, got -2"),
+    (1000, -1, "q_max must be >= 0, got -1"),
+])
+def test_default_grid_rejects_bad_sizes(points, q_max, match):
+    # unchecked, zero points divide by zero, negative points keep only
+    # the rationals, and a negative q_max reads as 0
+    with pytest.raises(ParameterError, match=match):
+        default_grid(DOMAIN, points=points, q_max=q_max)
